@@ -5,7 +5,9 @@ DESIGN.md's experiment index).  The *printed table* is the artefact; the
 pytest-benchmark timing wraps the experiment's core computation so
 ``pytest benchmarks/ --benchmark-only`` both reproduces the numbers and
 times the system.  Run with ``-s`` to see the tables inline; they are
-also appended to ``benchmarks/results.txt``.
+also appended to ``benchmarks/results.txt``, a local log that git
+ignores (``EXPERIMENTS.md`` and the ``BENCH_*.json`` trajectories are the
+committed record).
 
 Every bench additionally runs under a wall-clock :mod:`repro.obs`
 telemetry session appended to ``telemetry.jsonl`` (location overridable

@@ -30,7 +30,7 @@ import numpy as np
 
 from benchmarks._tools import SEED, emit, format_table, run_once
 from repro.data.synth import CensusIncomeGenerator
-from repro.serve import QueryRequest, QueryServer
+from repro.serve import QueryRequest, QueryServer, ServeConfig
 
 N_ROWS = 20_000
 N_TEMPLATES = 40
@@ -83,7 +83,8 @@ def zipf_workload(templates, rng):
 
 
 def serve_workload(table, requests, cache_on, workers=4):
-    server = QueryServer(workers=workers, seed=SEED, cache=cache_on)
+    server = QueryServer(ServeConfig(workers=workers, seed=SEED,
+                                     cache=cache_on))
     server.register_table("census", table)
     for tenant in TENANTS:
         server.register_tenant(tenant, epsilon_budget=1000.0)
@@ -98,8 +99,9 @@ def serve_workload(table, requests, cache_on, workers=4):
 
 
 def throughput(table, requests, workers, latency_s, cache_on):
-    server = QueryServer(workers=workers, seed=SEED, cache=cache_on,
-                         backend_latency_s=latency_s)
+    server = QueryServer(ServeConfig(workers=workers, seed=SEED,
+                                     cache=cache_on,
+                                     backend_latency_s=latency_s))
     server.register_table("census", table)
     for tenant in TENANTS:
         server.register_tenant(tenant, epsilon_budget=1000.0)

@@ -2,10 +2,10 @@
 
 ROADMAP claim: parallelism is a wall-clock knob, never a results knob —
 now at the level of whole audit sections, not just inner resampling
-loops.  ``FACTAuditor.audit`` builds a four-node ``repro.engine.Plan``
-(all sections at dependency level 0) and the ``Executor`` fans a level's
-ready nodes out through ``repro.parallel``.  This bench measures both
-promises:
+loops.  ``FACTAuditor.audit`` builds a map/combine ``repro.engine.Plan``
+(a plain table is one map node, then the four pillar sections together
+on the next level) and the ``Executor`` fans a level's ready nodes out
+through ``repro.parallel``.  This bench measures both promises:
 
 * **Section-level speedup** — the same audit runs sequentially
   (``n_jobs=1``) and with concurrent sections (``n_jobs=2``/``4``,
@@ -15,7 +15,8 @@ promises:
 * **Byte identity** — every ``n_jobs`` × backend × store combination
   must produce a report with *exactly* the sequential run's fingerprint.
   This is enforced unconditionally, on any machine.
-* **Incremental + concurrent** — a warm store replays all four sections;
+* **Incremental + concurrent** — a warm store replays the map and all
+  four sections;
   the row lands far below both timed runs while staying identical.
 
 Run directly (``python benchmarks/bench_e17_engine.py``); pass

@@ -1,9 +1,11 @@
 """The FACT audit as a dataflow plan: concurrent, memoised, identical.
 
 ``FACTAuditor.audit`` no longer runs its four pillar sections in a
-hand-written sequence — it builds a four-node ``repro.engine.Plan``
-(every section at dependency level 0) and hands it to the engine's
-``Executor``.  That buys three things at once, demonstrated below:
+hand-written sequence — it builds a map/combine ``repro.engine.Plan``
+and hands it to the engine's ``Executor``.  The map level computes the
+per-row partials (one node per shard; a plain table is one shard), and
+the four sections are combines on the next level, all independent of
+each other.  That buys three things at once, demonstrated below:
 
 1. **Concurrency without nondeterminism** — with workers, the four
    sections run simultaneously, and the report's fingerprint is
@@ -11,8 +13,8 @@ hand-written sequence — it builds a four-node ``repro.engine.Plan``
    ``SeedSequence``-spawned stream assigned in plan order).
 2. **Incremental re-audit** — with an ``ArtifactStore``, each node is
    memoised under a key derived from its code + params + input content;
-   after changing one section's parameters, only that section
-   recomputes, and it still recomputes *concurrently* with nothing.
+   after changing one section's parameters, the map and the other
+   sections replay and only that section recomputes.
 3. **One plan, inspectable** — ``plan.describe()`` shows the schedule
    the auditor will run before anything executes.
 
@@ -50,8 +52,9 @@ def main():
     train, calibration, test = three_way_split(data, 0.25, 0.15, rng)
     model = TableClassifier(LogisticRegression()).fit(train)
 
-    # 1. The audit's schedule, before anything runs: four pillar nodes,
-    #    one level — all independent, all eligible to run concurrently.
+    # 1. The audit's schedule, before anything runs: the map node, then
+    #    the four pillar sections on one level — independent of each
+    #    other, all eligible to run concurrently.
     plan = FACTAuditor().build_plan(model, test, calibration=calibration)
     print(plan.describe())
     print()
@@ -67,7 +70,7 @@ def main():
 
     # 3. Incremental *and* concurrent: cold-fill the store, then deepen
     #    the transparency surrogate.  Only that node's key changes, so
-    #    the other three sections replay and one recomputes.
+    #    the map and the other three sections replay and one recomputes.
     store = ArtifactStore()
     timed_audit(model, test, calibration, n_jobs=4, store=store)
     misses_before = store.misses

@@ -19,7 +19,7 @@ import numpy as np
 from repro import obs
 from repro.data.io import write_csv
 from repro.data.synth import CensusIncomeGenerator
-from repro.serve import QueryRequest, QueryServer
+from repro.serve import QueryRequest, QueryServer, ServeConfig
 
 EXPORT_PATH = "serve_run.jsonl"
 CSV_PATH = "serve_demo.csv"
@@ -32,7 +32,7 @@ def main():
 
     telemetry = obs.configure(export_path=EXPORT_PATH)
 
-    server = QueryServer(workers=4, seed=7)
+    server = QueryServer(ServeConfig(workers=4, seed=7))
     server.register_table("census", table)
     server.register_tenant("ads", epsilon_budget=0.5)
     server.register_tenant("health", epsilon_budget=1.0)

@@ -13,6 +13,7 @@ marker; rotation keeps the last N marker-delimited sessions).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -45,18 +46,34 @@ def environment_fingerprint() -> dict[str, object]:
     }
 
 
-def git_commit(cwd: str | None = None) -> str | None:
-    """The short HEAD hash, or ``None`` outside a repository."""
+def _git(*args: str, cwd: str | None = None) -> bytes | None:
+    """``git <args>``'s stdout, or ``None`` when git fails or is absent."""
     try:
         output = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=cwd, capture_output=True, text=True, timeout=10,
+            ["git", *args], cwd=cwd, capture_output=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    if output.returncode != 0:
-        return None
-    return output.stdout.strip() or None
+    return output.stdout if output.returncode == 0 else None
+
+
+def git_commit(cwd: str | None = None) -> str | None:
+    """The short HEAD hash, or ``None`` outside a repository."""
+    output = _git("rev-parse", "--short", "HEAD", cwd=cwd)
+    return (output or b"").decode().strip() or None
+
+
+def git_diff_state(cwd: str | None = None) -> tuple[bool | None, str | None]:
+    """``(dirty, sha256 of git diff HEAD)`` of the working tree.
+
+    The commit alone misattributes a record made on uncommitted work to
+    the previous commit; the dirty flag and the diff hash say which
+    code was really measured.  ``(None, None)`` outside a repository.
+    """
+    diff = _git("diff", "HEAD", cwd=cwd)
+    if diff is None:
+        return None, None
+    return bool(diff), hashlib.sha256(diff).hexdigest()
 
 
 @dataclass
@@ -70,6 +87,8 @@ class BenchRecord:
     warmup: int = 0
     timestamp: float = 0.0
     commit: str | None = None
+    dirty: bool | None = field(default=None, init=False)
+    diff_sha256: str | None = field(default=None, init=False)
     environment: dict[str, object] = field(default_factory=dict)
 
     def stamp(self, cwd: str | None = None) -> "BenchRecord":
@@ -77,6 +96,7 @@ class BenchRecord:
         self.timestamp = time.time()
         if self.commit is None:
             self.commit = git_commit(cwd)
+            self.dirty, self.diff_sha256 = git_diff_state(cwd)
         if not self.environment:
             self.environment = environment_fingerprint()
         return self
@@ -85,6 +105,7 @@ class BenchRecord:
         return {
             "name": self.name, "mode": self.mode,
             "timestamp": self.timestamp, "commit": self.commit,
+            "dirty": self.dirty, "diff_sha256": self.diff_sha256,
             "environment": dict(self.environment),
             "runs": self.runs, "warmup": self.warmup,
             "metrics": dict(self.metrics),

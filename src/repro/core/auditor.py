@@ -15,6 +15,7 @@ full :class:`~repro.core.report.FACTReport`:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -23,11 +24,7 @@ from repro import obs
 from repro.accuracy.bootstrap import bootstrap_paired_ci
 from repro.accuracy.conformal import SplitConformalClassifier
 from repro.confidentiality.accountant import PrivacyAccountant
-from repro.confidentiality.risk import (
-    assess_risk,
-    qi_class_counts,
-    risk_from_counts,
-)
+from repro.confidentiality.risk import qi_class_counts, risk_from_counts
 from repro.core.report import (
     AccuracySection,
     ConfidentialitySection,
@@ -37,10 +34,10 @@ from repro.core.report import (
 from repro.data.partition import PartitionedTable, merge_counts
 from repro.data.schema import ColumnRole
 from repro.data.table import Table
-from repro.engine import Executor, Node, Plan, value_fingerprint
-from repro.engine.sharding import ShardPartials, combine_node, shard_map_nodes
+from repro.engine import Executor, Plan, value_fingerprint
+from repro.engine.sharding import combine_node, shard_map_nodes
 from repro.exceptions import DataError, FairnessError
-from repro.fairness.report import audit_decisions, audit_model
+from repro.fairness.report import audit_decisions
 from repro.learn.calibration import expected_calibration_error
 from repro.learn.metrics import accuracy as accuracy_metric
 from repro.learn.metrics import roc_auc
@@ -144,10 +141,9 @@ class FACTAuditor:
         results.
     shards:
         Partition a plain ``Table`` into this many row-range shards at
-        audit time and run the sharded map/combine path — the same path
-        a :class:`~repro.data.PartitionedTable` passed to :meth:`audit`
-        takes (see :meth:`build_sharded_plan`).  The report is
-        byte-identical to the unsharded path at every shard count.
+        audit time (unset: the table is one shard).  Every audit runs
+        the same map/combine plan (see :meth:`build_plan`), and the
+        report is byte-identical at every shard count.
     """
 
     def __init__(self, conformal_alpha: float = 0.1,
@@ -167,119 +163,38 @@ class FACTAuditor:
         self.store = store
         self.shards = shards
 
-    def build_plan(self, model: TableClassifier, test: Table,
+    def build_plan(self, model: TableClassifier,
+                   data: Table | PartitionedTable,
                    calibration: Table | None = None,
                    accountant: PrivacyAccountant | None = None,
                    pipeline_result: PipelineResult | None = None,
-                   store=None,
-                   predictions: tuple | None = None) -> Plan:
-        """The audit as a four-node pillar :class:`repro.engine.Plan`.
-
-        All four sections sit at dependency level 0 — they consume only
-        the plan inputs (``model``, ``test``, ``calibration``) — so the
-        executor runs them *concurrently* when given workers.  Cache
-        keys derive from each node's code + params + input content, so
-        an incremental re-audit recomputes exactly the sections a change
-        invalidated, with no hand-written keys.  The stochastic sections
-        (accuracy, transparency) declare ``rng="spawn"``: each owns its
-        own seed stream, so a change to one can never shift the other's
-        results, and the report is bit-identical with or without a
-        store at every ``n_jobs``/backend combination.
-        """
-        if predictions is None:
-            predictions = self._predictions(model, test)
-        labels, probabilities, decisions = predictions
-        tags = lambda fps: (f"table:{fps['test']}",)  # noqa: E731
-
-        def fairness_fn(inputs, rng):
-            return audit_model(inputs["model"], inputs["test"])
-
-        def accuracy_fn(inputs, rng):
-            return self._accuracy(
-                inputs["model"], inputs["test"], labels, probabilities,
-                decisions, inputs["calibration"], rng, store=store,
-            )
-
-        def confidentiality_fn(inputs, rng):
-            return self._confidentiality(inputs["test"], accountant)
-
-        def transparency_fn(inputs, rng):
-            return self._transparency(inputs["model"], inputs["test"],
-                                      labels, rng, pipeline_result,
-                                      store=store)
-
-        nodes = [
-            Node("fairness", fairness_fn,
-                 inputs=("model", "test"),
-                 code=audit_model,
-                 tags=tags),
-            Node("accuracy", accuracy_fn,
-                 inputs=("model", "test", "calibration"),
-                 params={"conformal_alpha": self.conformal_alpha,
-                         "n_bootstrap": self.n_bootstrap},
-                 code=FACTAuditor._accuracy,
-                 rng="spawn",
-                 tags=tags),
-            Node("confidentiality", confidentiality_fn,
-                 inputs=("test",),
-                 params={"accountant": None if accountant is None else {
-                     "epsilon_spent": accountant.epsilon_spent,
-                     "epsilon_budget": accountant.epsilon_budget,
-                     "ledger_entries": len(accountant.ledger),
-                 }},
-                 code=FACTAuditor._confidentiality,
-                 tags=tags),
-            Node("transparency", transparency_fn,
-                 inputs=("model", "test"),
-                 params={"surrogate_depth": self.surrogate_depth,
-                         "top_features": self.top_features,
-                         "pipeline": None if pipeline_result is None else {
-                             "provenance_steps": (
-                                 pipeline_result.context.provenance.n_steps
-                                 if pipeline_result.context.provenance
-                                 else 0
-                             ),
-                             "audit_events": len(
-                                 pipeline_result.context.audit
-                             ),
-                         }},
-                 code=FACTAuditor._transparency,
-                 rng="spawn",
-                 tags=tags),
-        ]
-        return Plan(nodes, inputs=("model", "test", "calibration"))
-
-    @staticmethod
-    def _predictions(model: TableClassifier, test: Table) -> tuple:
-        """(labels, probabilities, decisions) shared by the sections."""
-        labels = model.labels(test)
-        probabilities = model.predict_proba(test)
-        decisions = (probabilities >= model.threshold).astype(np.float64)
-        return labels, probabilities, decisions
-
-    def build_sharded_plan(self, model: TableClassifier,
-                           data: PartitionedTable,
-                           calibration: Table | None = None,
-                           accountant: PrivacyAccountant | None = None,
-                           pipeline_result: PipelineResult | None = None,
-                           store=None) -> Plan:
+                   store=None) -> Plan:
         """The audit as a map/combine plan over ``data``'s shards.
 
-        Level 0 is one map node per shard (``partial.shard{i}``), each a
-        picklable process task computing that shard's row-wise-pure
-        arrays and exact contingency counts; with a store the partials
-        *spill* (tagged ``shard:<fp>``), so references rather than
-        values travel to level 1.  Level 1 is the four pillar sections
-        as combine nodes: they concatenate the partials in shard order —
-        reproducing the unsharded arrays bitwise — and run the same
-        finalize code as the serial plan, so the report is
-        **byte-identical by construction** at every shard count,
-        ``n_jobs``, and backend.  The section spawn order (accuracy,
-        then transparency) matches :meth:`build_plan`, so the stochastic
-        sections draw the very streams the serial plan would.  Per-shard
+        A plain ``Table`` is the one-shard case.  Level 0 is one map
+        node per shard (``partial.shard{i}``), each a picklable process
+        task computing that shard's row-wise-pure arrays and exact
+        contingency counts; with a store the partials *spill* (tagged
+        ``shard:<fp>``), so references rather than values travel to
+        level 1.  Level 1 is the four pillar sections as combine nodes:
+        each gathers the partials in shard order in one pass —
+        reproducing the whole-table arrays bitwise — so the report is
+        **byte-identical** at every shard count, ``n_jobs``, and
+        backend.  The fairness combine also writes the report's power
+        and intersectional notes, so nothing reads partials after the
+        run.  The stochastic sections (accuracy, then transparency)
+        declare ``rng="spawn"``: each owns its own seed stream, so a
+        change to one can never shift the other's results.  Per-shard
         cache keys fold each shard's content fingerprint: editing one
-        shard re-runs one map node plus the combines.
+        shard re-runs one map node plus the combines.  Sections are
+        tagged ``table:<fp>`` with the plain table's fingerprint, or
+        the partitioned dataset's.
         """
+        if isinstance(data, Table):
+            data = PartitionedTable([data])
+            dataset_fp = functools.partial(data.shard_fingerprint, 0)
+        else:
+            dataset_fp = data.__content_fingerprint__
         schema = data.schema
         qi_names = tuple(schema.quasi_identifier_names)
         sensitive_names = tuple(schema.sensitive_names)
@@ -289,64 +204,25 @@ class FACTAuditor:
             params=lambda: {"model": value_fingerprint(model)},
             code=_audit_shard_partial,
         )
-        tags = lambda fps: (  # noqa: E731
-            f"table:{data.__content_fingerprint__()}",
-        )
+        tags = lambda fps: (f"table:{dataset_fp()}",)  # noqa: E731
 
         def fairness_fn(partials, extras, rng):
-            if not sensitive_names:
-                raise FairnessError("table declares no sensitive column")
-            arrays = _gather(
-                partials, ("labels", "probabilities", "decisions"),
-                sensitive=sensitive_names[:1],
-            )
-            return audit_decisions(
-                arrays["labels"], arrays["decisions"],
-                arrays["sensitive"][sensitive_names[0]],
-                sensitive=sensitive_names[0],
-                probabilities=arrays["probabilities"],
-            )
+            return self._fairness(partials, sensitive_names)
 
         def accuracy_fn(partials, extras, rng):
-            arrays = _gather(
-                partials, ("labels", "probabilities", "decisions"),
-            )
-            return self._accuracy_core(
-                model, arrays["labels"], arrays["probabilities"],
-                arrays["decisions"], calibration, rng, store=store,
-                n_test_rows=int(arrays["labels"].size),
-                x_test=lambda: _gather(partials, ("X",))["X"],
-                sensitive_names=sensitive_names,
-                group=lambda name: _gather(
-                    partials, (), sensitive=(name,)
-                )["sensitive"][name],
-            )
+            return self._accuracy(model, partials, sensitive_names,
+                                  calibration, rng, store)
 
         def confidentiality_fn(partials, extras, rng):
-            risk = None
-            if qi_names:
-                counts: dict = {}
-                nan_singletons = 0
-                n_rows = 0
-                for partial in partials:
-                    counts = merge_counts((counts, partial["qi"]))
-                    nan_singletons += partial["qi_nan"]
-                    n_rows += partial["n_rows"]
-                risk = risk_from_counts(
-                    qi_names, counts, nan_singletons, n_rows=n_rows
-                )
-            return self._confidentiality_section(schema, risk, accountant)
+            return self._confidentiality(partials, schema, accountant)
 
         def transparency_fn(partials, extras, rng):
-            arrays = _gather(partials, ("X", "labels"))
-            return self._transparency_core(
-                model, arrays["X"], arrays["labels"], rng,
-                pipeline_result, store=store,
-            )
+            return self._transparency(model, partials, rng,
+                                      pipeline_result, store)
 
         sections = [
             combine_node("fairness", maps, fairness_fn, store=store,
-                         code=audit_decisions, tags=tags),
+                         code=FACTAuditor._fairness, tags=tags),
             combine_node("accuracy", maps, accuracy_fn, store=store,
                          params=lambda: {
                              "conformal_alpha": self.conformal_alpha,
@@ -356,7 +232,7 @@ class FACTAuditor:
                                  else value_fingerprint(calibration)
                              ),
                          },
-                         code=FACTAuditor._accuracy_core,
+                         code=FACTAuditor._accuracy,
                          rng="spawn", tags=tags),
             combine_node("confidentiality", maps, confidentiality_fn,
                          store=store,
@@ -366,7 +242,7 @@ class FACTAuditor:
                                      "epsilon_budget": accountant.epsilon_budget,
                                      "ledger_entries": len(accountant.ledger),
                                  }},
-                         code=FACTAuditor._confidentiality_section,
+                         code=FACTAuditor._confidentiality,
                          tags=tags),
             combine_node("transparency", maps, transparency_fn, store=store,
                          params={"surrogate_depth": self.surrogate_depth,
@@ -382,69 +258,13 @@ class FACTAuditor:
                                          pipeline_result.context.audit
                                      ),
                                  }},
-                         code=FACTAuditor._transparency_core,
+                         code=FACTAuditor._transparency,
                          rng="spawn", tags=tags),
         ]
         return Plan([*maps, *sections])
 
-    def _audit_sharded(self, model: TableClassifier, data: PartitionedTable,
-                       rng: np.random.Generator,
-                       calibration: Table | None,
-                       accountant: PrivacyAccountant | None,
-                       pipeline_result: PipelineResult | None,
-                       subject: str) -> FACTReport:
-        """Run the sharded map/combine plan and assemble the report."""
-        if data.n_rows < 10:
-            raise DataError("need at least 10 evaluation rows for an audit")
-        store = resolve_store(self.store)
-        plan = self.build_sharded_plan(
-            model, data, calibration, accountant, pipeline_result,
-            store=store,
-        )
-        executor = Executor(n_jobs=self.n_jobs, backend=self.backend,
-                            name="audit")
-        telemetry = obs.get()
-        if telemetry is not None:
-            with telemetry.tracer.span(
-                "audit.run", subject=subject, n_rows=data.n_rows,
-                n_shards=data.n_shards, n_jobs=executor.n_jobs,
-                backend=self.backend,
-            ):
-                result = executor.run(plan, store=store, rng=rng)
-        else:
-            result = executor.run(plan, store=store, rng=rng)
-        fairness = result["fairness"]
-        partials = ShardPartials(
-            [result[f"partial.shard{i}"] for i in range(data.n_shards)],
-            store,
-        )
-        sensitive_names = tuple(data.schema.sensitive_names)
-        arrays = _gather(partials, ("decisions",), sensitive=sensitive_names)
-        notes = []
-        if calibration is None:
-            notes.append(
-                "no calibration split supplied: conformal guarantee not checked"
-            )
-        power_note = self._audit_power_note(
-            fairness, arrays["sensitive"][fairness.sensitive]
-        )
-        if power_note:
-            notes.append(power_note)
-        intersectional_note = self._intersectional_note(
-            arrays.get("sensitive", {}), arrays["decisions"], fairness
-        )
-        if intersectional_note:
-            notes.append(intersectional_note)
-        return FACTReport(
-            subject=subject,
-            fairness=fairness,
-            accuracy=result["accuracy"],
-            confidentiality=result["confidentiality"],
-            transparency=result["transparency"],
-            notes=notes,
-        )
-
-    def audit(self, model: TableClassifier, test: Table,
+    def audit(self, model: TableClassifier,
+              test: Table | PartitionedTable,
               rng: np.random.Generator,
               calibration: Table | None = None,
               accountant: PrivacyAccountant | None = None,
@@ -452,79 +272,82 @@ class FACTAuditor:
               subject: str = "model") -> FACTReport:
         """Produce the full FACT report.
 
-        The four pillar sections run as one engine plan: concurrent
-        when the auditor has workers, memoised per section when a store
+        Runs the map/combine plan of :meth:`build_plan`: a plain table
+        is one shard (or ``shards`` of them when the auditor was built
+        with ``shards=N``), a :class:`~repro.data.PartitionedTable`
+        keeps its own shards.  The sections run concurrently when the
+        auditor has workers, and are memoised per section when a store
         is available (explicit or via ``$REPRO_STORE``) — unchanged
         sections replay byte-identically, changed ones recompute, the
-        incremental re-audit.  There is exactly one code path; a run
-        without a store differs only in that nothing is looked up.
-
-        ``test`` may also be a :class:`~repro.data.PartitionedTable`
-        (or the auditor may be built with ``shards=N`` to partition a
-        plain table here): the audit then runs as the sharded
-        map/combine plan of :meth:`build_sharded_plan` — out-of-core,
-        process-parallel when asked, and byte-identical to this path.
+        incremental re-audit.  A run without a store differs only in
+        that nothing is looked up.
         """
         if isinstance(test, Table) and self.shards is not None \
                 and self.shards > 1:
             test = PartitionedTable.partition(test, n_shards=self.shards)
-        if isinstance(test, PartitionedTable):
-            return self._audit_sharded(
-                model, test, rng, calibration, accountant,
-                pipeline_result, subject,
-            )
         if test.n_rows < 10:
             raise DataError("need at least 10 evaluation rows for an audit")
         store = resolve_store(self.store)
-        predictions = self._predictions(model, test)
-        _, _, decisions = predictions
         plan = self.build_plan(
             model, test, calibration, accountant, pipeline_result,
-            store=store, predictions=predictions,
+            store=store,
         )
         executor = Executor(n_jobs=self.n_jobs, backend=self.backend,
                             name="audit")
-        inputs = {"model": model, "test": test, "calibration": calibration}
         telemetry = obs.get()
-        if telemetry is not None:
-            with telemetry.tracer.span(
+        span = contextlib.nullcontext() if telemetry is None else (
+            telemetry.tracer.span(
                 "audit.run", subject=subject, n_rows=test.n_rows,
+                n_shards=(test.n_shards
+                          if isinstance(test, PartitionedTable) else 1),
                 n_jobs=executor.n_jobs, backend=self.backend,
-            ):
-                result = executor.run(plan, inputs, store=store, rng=rng)
-        else:
-            result = executor.run(plan, inputs, store=store, rng=rng)
-        fairness = result["fairness"]
-        accuracy_section = result["accuracy"]
-        confidentiality = result["confidentiality"]
-        transparency = result["transparency"]
+            )
+        )
+        with span:
+            result = executor.run(plan, store=store, rng=rng)
+        fairness, fairness_notes = result["fairness"]
         notes = []
         if calibration is None:
             notes.append(
                 "no calibration split supplied: conformal guarantee not checked"
             )
-        power_note = self._audit_power_note(
-            fairness, test.sensitive(fairness.sensitive)
-        )
-        if power_note:
-            notes.append(power_note)
-        intersectional_note = self._intersectional_note(
-            {name: test.column(name)
-             for name in test.schema.sensitive_names},
-            decisions, fairness,
-        )
-        if intersectional_note:
-            notes.append(intersectional_note)
         return FACTReport(
             subject=subject,
             fairness=fairness,
-            accuracy=accuracy_section,
-            confidentiality=confidentiality,
-            transparency=transparency,
-            notes=notes,
+            accuracy=result["accuracy"],
+            confidentiality=result["confidentiality"],
+            transparency=result["transparency"],
+            notes=[*notes, *fairness_notes],
         )
 
     # -- sections -----------------------------------------------------------
+
+    @classmethod
+    def _fairness(cls, partials, sensitive_names: tuple) -> tuple:
+        """The fairness section and its caveat notes, from the partials.
+
+        Audits the first declared sensitive attribute, then adds the
+        underpowered-audit note and, with several sensitive attributes,
+        the intersectional note — both read the very arrays the section
+        does, so they cost no second pass over the partials.
+        """
+        if not sensitive_names:
+            raise FairnessError("table declares no sensitive column")
+        arrays = _gather(partials, ("labels", "probabilities", "decisions"),
+                         sensitive=sensitive_names)
+        audited = sensitive_names[0]
+        fairness = audit_decisions(
+            arrays["labels"], arrays["decisions"],
+            arrays["sensitive"][audited],
+            sensitive=audited,
+            probabilities=arrays["probabilities"],
+        )
+        notes = (
+            cls._audit_power_note(fairness, arrays["sensitive"][audited]),
+            cls._intersectional_note(arrays["sensitive"],
+                                     arrays["decisions"], fairness),
+        )
+        return fairness, [note for note in notes if note]
 
     @staticmethod
     def _intersectional_note(sensitive_columns: dict[str, np.ndarray],
@@ -535,14 +358,8 @@ class FACTAuditor:
         The headline fairness section audits one attribute; if more are
         declared, the worst *intersection* may be worse than any
         marginal — the report should say so rather than average it away.
-        Takes the sensitive columns as arrays so the sharded path can
-        feed concatenated shard partials instead of a whole table (a
-        `Table` is accepted and read column-by-column).
+        Takes the sensitive columns as a ``{name: values}`` dict.
         """
-        if isinstance(sensitive_columns, Table):
-            table = sensitive_columns
-            sensitive_columns = {name: table.column(name)
-                                 for name in table.schema.sensitive_names}
         if len(sensitive_columns) < 2:
             return None
         from repro.fairness.intersectional import intersectional_audit
@@ -568,8 +385,8 @@ class FACTAuditor:
         A small test set can only *detect* large selection gaps; when the
         minimum detectable gap exceeds what the four-fifths rule needs to
         see, a "pass" is statistically meaningless and the report says so.
-        ``group`` is the audited sensitive column's values (whole-table,
-        or concatenated shard partials — identical arrays either way).
+        ``group`` is the audited sensitive column's values, concatenated
+        from the shard partials.
         """
         from repro.accuracy.power import minimum_detectable_gap
 
@@ -593,32 +410,25 @@ class FACTAuditor:
             )
         return None
 
-    def _accuracy(self, model, test, labels, probabilities, decisions,
+    def _accuracy(self, model, partials, sensitive_names: tuple,
                   calibration, rng, store=None) -> AccuracySection:
-        return self._accuracy_core(
-            model, labels, probabilities, decisions, calibration, rng,
-            store=store,
-            n_test_rows=test.n_rows,
-            x_test=lambda: model.encoder.transform(test),
-            sensitive_names=tuple(test.schema.sensitive_names),
-            group=test.sensitive,
-        )
+        """The accuracy section, gathering the partials in one pass.
 
-    def _accuracy_core(self, model, labels, probabilities, decisions,
-                       calibration, rng, store=None, *,
-                       n_test_rows: int,
-                       x_test, sensitive_names: tuple,
-                       group) -> AccuracySection:
-        """The accuracy section from arrays (shared by both plans).
-
-        ``x_test`` and ``group`` are zero/one-argument callables — the
-        encoded test matrix and a sensitive column — evaluated only when
-        a conformal check actually needs them, so the serial path never
-        encodes twice and the sharded path only concatenates ``X``
-        partials when calibration data exists.
+        The encoded test matrix and the audited sensitive column join
+        the gather only when a conformal check needs them (calibration
+        data exists).
         """
+        conformal_check = calibration is not None
+        arrays = _gather(
+            partials,
+            ("labels", "probabilities", "decisions")
+            + (("X",) if conformal_check else ()),
+            sensitive=sensitive_names[:1] if conformal_check else (),
+        )
+        labels = arrays["labels"]
+        probabilities = arrays["probabilities"]
         acc_ci = bootstrap_paired_ci(
-            labels, decisions, accuracy_metric, rng,
+            labels, arrays["decisions"], accuracy_metric, rng,
             n_resamples=self.n_bootstrap,
             n_jobs=self.n_jobs, backend=self.backend, store=store,
         )
@@ -629,20 +439,20 @@ class FACTAuditor:
         )
         coverage = set_size = None
         by_group: dict[object, float] = {}
-        if calibration is not None:
+        if conformal_check:
             conformal = SplitConformalClassifier(
                 model.estimator, alpha=self.conformal_alpha
             )
             X_cal = model.encoder.transform(calibration)
             conformal.calibrate(X_cal, model.labels(calibration),
                                 store=store)
-            X_test = x_test()
+            X_test = arrays["X"]
             coverage = conformal.coverage(X_test, labels)
             set_size = conformal.mean_set_size(X_test)
             # The E4b check: does the (marginal) guarantee hold within
             # each protected group, or only on average?
             if sensitive_names:
-                values = group(sensitive_names[0])
+                values = arrays["sensitive"][sensitive_names[0]]
                 sets = conformal.predict_sets(X_test)
                 covered = np.asarray([
                     prediction_set.covers(label)
@@ -663,27 +473,32 @@ class FACTAuditor:
             conformal_coverage=coverage,
             conformal_mean_set_size=set_size,
             conformal_coverage_by_group=by_group,
-            n_test_rows=n_test_rows,
+            n_test_rows=int(labels.size),
         )
 
-    def _confidentiality(self, test: Table,
-                         accountant) -> ConfidentialitySection:
-        risk = None
-        if test.schema.quasi_identifier_names:
-            risk = assess_risk(test)
-        return self._confidentiality_section(test.schema, risk, accountant)
-
     @staticmethod
-    def _confidentiality_section(schema, risk,
-                                 accountant) -> ConfidentialitySection:
-        """Assemble the section from a (possibly merged) risk profile.
+    def _confidentiality(partials, schema,
+                         accountant) -> ConfidentialitySection:
+        """The section from exactly merged equivalence-class counts.
 
-        The sharded path computes ``risk`` by exactly merging per-shard
-        equivalence-class counts (:func:`repro.data.merge_counts` +
-        :func:`repro.confidentiality.risk_from_counts`), which
-        reproduces :func:`~repro.confidentiality.assess_risk` on the
-        whole table; everything else is schema- and accountant-derived.
+        Merging the per-shard counts (:func:`repro.data.merge_counts` +
+        :func:`repro.confidentiality.risk_from_counts`) reproduces
+        :func:`~repro.confidentiality.assess_risk` on the whole table;
+        everything else is schema- and accountant-derived.
         """
+        qi_names = tuple(schema.quasi_identifier_names)
+        risk = None
+        if qi_names:
+            counts: dict = {}
+            nan_singletons = 0
+            n_rows = 0
+            for partial in partials:
+                counts = merge_counts((counts, partial["qi"]))
+                nan_singletons += partial["qi_nan"]
+                n_rows += partial["n_rows"]
+            risk = risk_from_counts(
+                qi_names, counts, nan_singletons, n_rows=n_rows
+            )
         metadata = [
             spec.name for spec in schema
             if spec.role is ColumnRole.METADATA
@@ -699,17 +514,11 @@ class FACTAuditor:
             section.ledger_entries = len(accountant.ledger)
         return section
 
-    def _transparency(self, model, test, labels, rng,
-                      pipeline_result, store=None) -> TransparencySection:
-        return self._transparency_core(
-            model, model.encoder.transform(test), labels, rng,
-            pipeline_result, store=store,
-        )
-
-    def _transparency_core(self, model, X, labels, rng,
-                           pipeline_result,
-                           store=None) -> TransparencySection:
+    def _transparency(self, model, partials, rng, pipeline_result,
+                      store=None) -> TransparencySection:
         """The transparency section from the encoded matrix + labels."""
+        arrays = _gather(partials, ("X", "labels"))
+        X = arrays["X"]
         fidelity = leaves = None
         try:
             surrogate = fit_surrogate(
@@ -719,7 +528,7 @@ class FACTAuditor:
         except DataError:
             pass  # constant model: surrogate vacuous, reported as absent
         importance = permutation_importance(
-            model.estimator, X, labels, rng, n_repeats=3,
+            model.estimator, X, arrays["labels"], rng, n_repeats=3,
             feature_names=model.feature_names,
             n_jobs=self.n_jobs, backend=self.backend, store=store,
         )

@@ -286,7 +286,7 @@ class Executor:
                 in zip(spawn_nodes, children)}
 
     def _thunk(self, node: Node, results: dict, fp_of, seeds: dict,
-               shared_rng, store, collector=None):
+               shared_rng, store, collector=None, hold: bool = False):
         input_values = {name: results[name] for name in node.inputs}
 
         def lazy_key() -> str:
@@ -325,12 +325,18 @@ class Executor:
                 # Spill: the value lives in the store, a Spilled
                 # reference travels the plan.  A warm hit never decodes
                 # the payload — bounded coordinator memory is the point.
+                # A level's only spill holds its fresh value: that one
+                # partial is within the bound, and consumers skip
+                # decoding it back.
                 digest = lazy_key()
                 if store.probe(digest):
                     return Spilled(digest), "hit"
                 value = compute()
                 store.put(digest, value, tags=lazy_tags())
-                return Spilled(digest), "miss"
+                spilled = Spilled(digest)
+                if hold:
+                    spilled.held = value
+                return spilled, "miss"
             return store.memoize_with_status(
                 compute, key=lazy_key, rng=continuity_rng, tags=lazy_tags
             )
@@ -402,12 +408,14 @@ class Executor:
         ):
             return self._run_level_process(level, store, telemetry,
                                            parent_id, collector)
+        hold = sum(isinstance(unit, Node) and unit.spill
+                   for unit in level) == 1
         thunks = [
             self._chain_thunk(unit, results, fp_of, shared_rng, store,
                               collector)
             if isinstance(unit, FusedChain)
             else self._thunk(unit, results, fp_of, seeds, shared_rng,
-                             store, collector)
+                             store, collector, hold)
             for unit in level
         ]
         # Shared-rng nodes thread one generator, so any level holding

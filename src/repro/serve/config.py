@@ -10,29 +10,15 @@ single frozen dataclass, validated at construction, that *is* an
 :class:`~repro.store.Artifact`: ``config.fingerprint()`` is a canonical
 content hash, so a deployment can record exactly which serving
 configuration produced a response log.
-
-The legacy ``QueryServer(workers=..., seed=..., ...)`` kwargs keep
-working as deprecated aliases (one :class:`DeprecationWarning` per
-construction) via :meth:`ServeConfig.with_legacy_kwargs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.exceptions import DataError
-from repro.serve.cache import SCOPE_GLOBAL, SCOPE_TENANT, AnswerCache
+from repro.serve.cache import SCOPE_GLOBAL, SCOPE_TENANT
 from repro.store.artifact import Artifact
-
-#: Legacy ``QueryServer`` constructor kwargs and the ``ServeConfig``
-#: field each one maps onto.
-LEGACY_KWARG_FIELDS = {
-    "workers": "workers",
-    "seed": "seed",
-    "default_epsilon_budget": "default_epsilon_budget",
-    "default_delta_budget": "default_delta_budget",
-    "backend_latency_s": "backend_latency_s",
-}
 
 
 @dataclass(frozen=True)
@@ -112,30 +98,6 @@ class ServeConfig(Artifact):
             raise DataError("default_delta_budget must be non-negative")
         if self.backend_latency_s < 0:
             raise DataError("backend_latency_s must be non-negative")
-
-    def with_legacy_kwargs(self, **legacy) -> "ServeConfig":
-        """This config with deprecated ``QueryServer`` kwargs folded in.
-
-        ``cache`` accepts the historical ``True``/``False``/``None``/
-        :class:`AnswerCache` spellings; other values must be listed in
-        :data:`LEGACY_KWARG_FIELDS`.  Unknown names raise
-        :class:`DataError` (they were never valid kwargs either).
-        """
-        updates = {}
-        for name, value in legacy.items():
-            if name == "cache":
-                # Historical spellings: True/AnswerCache enable, None/False
-                # disable.  (An AnswerCache instance is also installed
-                # verbatim by the server; here only the flag matters.)
-                updates["cache"] = value is True or isinstance(value, AnswerCache)
-                continue
-            if name not in LEGACY_KWARG_FIELDS:
-                known = sorted([*LEGACY_KWARG_FIELDS, "cache"])
-                raise DataError(
-                    f"unknown QueryServer kwarg {name!r}; legacy kwargs: {known}"
-                )
-            updates[LEGACY_KWARG_FIELDS[name]] = value
-        return replace(self, **updates) if updates else self
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:

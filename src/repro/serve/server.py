@@ -48,7 +48,6 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -106,9 +105,9 @@ class PendingResult:
 class QueryServer:
     """Async-batched, budget-aware, cache-accelerated DP query serving."""
 
-    def __init__(self, config: ServeConfig | int | None = None, *,
+    def __init__(self, config: ServeConfig | None = None, *,
                  admission: AdmissionController | None = None,
-                 store=None, **legacy):
+                 store=None):
         """Build a server from one validated :class:`ServeConfig`.
 
         ``admission`` injects a pre-built controller (tests drive its
@@ -117,34 +116,17 @@ class QueryServer:
         (an :class:`~repro.store.ArtifactStore`) makes table
         re-registration invalidate the old rows' ``table:<fingerprint>``
         artifacts via the planner's schema registry.
-
-        The historical kwargs (``workers=``, ``seed=``, ``cache=``,
-        ``default_epsilon_budget=``, ``default_delta_budget=``,
-        ``backend_latency_s=``) keep working as deprecated aliases and
-        emit a single :class:`DeprecationWarning` per construction.
         """
-        if isinstance(config, int):  # historical positional `workers`
-            legacy.setdefault("workers", config)
-            config = None
         if config is None:
             config = ServeConfig()
-        if legacy:
-            config = config.with_legacy_kwargs(**legacy)
-            warnings.warn(
-                "QueryServer(**kwargs) is deprecated; pass a ServeConfig: "
-                f"QueryServer(ServeConfig({', '.join(sorted(legacy))}=...))",
-                DeprecationWarning, stacklevel=2,
-            )
         self.config = config
 
         self.planner = QueryPlanner(store=store)
         self.budget = BudgetManager()
-        legacy_cache = legacy.get("cache")
-        if isinstance(legacy_cache, AnswerCache):
-            self.cache: AnswerCache | None = legacy_cache
-        elif config.cache:
-            self.cache = AnswerCache(max_entries=config.cache_entries,
-                                     scope=config.cache_scope)
+        if config.cache:
+            self.cache: AnswerCache | None = AnswerCache(
+                max_entries=config.cache_entries, scope=config.cache_scope
+            )
         else:
             self.cache = None
         if admission is not None:
@@ -187,24 +169,6 @@ class QueryServer:
         self._latency = Histogram("serve.query.duration",
                                   quantiles=(0.50, 0.90, 0.95, 0.99))
         self._dispatcher = Dispatcher(self)
-
-    # -- legacy attribute aliases -------------------------------------------
-
-    @property
-    def workers(self) -> int:
-        return self.config.workers
-
-    @property
-    def default_epsilon_budget(self) -> float | None:
-        return self.config.default_epsilon_budget
-
-    @property
-    def default_delta_budget(self) -> float:
-        return self.config.default_delta_budget
-
-    @property
-    def backend_latency_s(self) -> float:
-        return self.config.backend_latency_s
 
     # -- registration -------------------------------------------------------
 

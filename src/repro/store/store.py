@@ -57,13 +57,16 @@ class Spilled:
     The content fingerprint hashes the key: the key *is* the value's
     content-derived identity (a cache digest over code, params, and
     input fingerprints), so downstream cache keys stay stable across
-    cold and warm runs.
+    cold and warm runs.  The producer may also leave the value it just
+    committed in ``held``; :func:`resolve_spilled` then returns it
+    without decoding the entry back.
     """
 
-    __slots__ = ("key",)
+    __slots__ = ("key", "held")
 
     def __init__(self, key: str):
         self.key = str(key)
+        self.held = None
 
     def __content_fingerprint__(self) -> str:
         return fingerprint(spilled=self.key)
@@ -82,6 +85,8 @@ def resolve_spilled(value, store):
     """
     if not isinstance(value, Spilled):
         return value
+    if value.held is not None:
+        return value.held
     resolved = store.get(value.key, _MISS)
     if resolved is _MISS:
         raise DataError(

@@ -1,7 +1,10 @@
 """Tests for the benchmark layer (repro.bench): harness, trajectory, gate."""
 
+import hashlib
 import json
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -108,6 +111,46 @@ def test_trajectory_append_load_roundtrip(tmp_path):
     assert run["metrics"]["wall_s_median"] == 0.5
     assert run["timestamp"] > 0
     assert run["environment"]["python"]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_stamp_records_dirty_flag_and_diff_hash(tmp_path):
+    def git(*args):
+        identity = ("-c", "user.name=bench",
+                    "-c", "user.email=bench@example.com")
+        return subprocess.run(
+            ["git", *identity, *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        ).stdout
+
+    git("init", "-q")
+    (tmp_path / "kernel.py").write_text("speed = 1\n")
+    git("add", "kernel.py")
+    git("commit", "-q", "-m", "baseline")
+    head = git("rev-parse", "--short", "HEAD").decode().strip()
+
+    clean = BenchRecord(name="demo", metrics=metrics(0.5)).stamp(
+        cwd=str(tmp_path))
+    assert clean.commit == head
+    assert clean.dirty is False
+    assert clean.diff_sha256 == hashlib.sha256(b"").hexdigest()
+
+    (tmp_path / "kernel.py").write_text("speed = 2\n")
+    dirty = BenchRecord(name="demo", metrics=metrics(0.5)).stamp(
+        cwd=str(tmp_path)).to_dict()
+    assert dirty["commit"] == head
+    assert dirty["dirty"] is True
+    assert dirty["diff_sha256"] == hashlib.sha256(
+        git("diff", "HEAD")).hexdigest()
+    assert dirty["diff_sha256"] != clean.diff_sha256
+
+
+def test_stamp_outside_a_repository(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    record = BenchRecord(name="demo", metrics=metrics(0.5)).stamp(
+        cwd=str(tmp_path))
+    assert record.commit is None
+    assert record.dirty is None and record.diff_sha256 is None
 
 
 def test_trajectory_caps_history(tmp_path):

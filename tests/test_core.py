@@ -245,7 +245,8 @@ def test_intersectional_note_with_two_sensitive_attributes(rng):
     rigged = decisions.copy()
     rigged[cell] = 0.0
     note = Auditor._intersectional_note(
-        test, rigged, report.fairness
+        {name: test.column(name) for name in test.schema.sensitive_names},
+        rigged, report.fairness,
     )
     assert note is not None
     assert "age_band=old & group=B" in note

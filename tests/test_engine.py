@@ -362,10 +362,13 @@ def _audit(audit_subject, *, store=None, n_jobs=1, backend="serial", **kw):
 
 
 def test_audit_plan_has_four_concurrent_sections(audit_subject):
+    # A plain table is the one-shard map/combine plan: one map node,
+    # then the four pillar sections together on the next level.
     model, test = audit_subject
     plan = FACTAuditor().build_plan(model, test)
-    assert len(plan.levels()) == 1
-    assert sorted(node.name for node in plan.nodes) == [
+    maps, sections = plan.levels()
+    assert [node.name for node in maps] == ["partial.shard0"]
+    assert sorted(node.name for node in sections) == [
         "accuracy", "confidentiality", "fairness", "transparency",
     ]
     assert plan.node("accuracy").rng == "spawn"

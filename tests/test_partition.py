@@ -300,6 +300,29 @@ class TestShardedAuditByteIdentity:
         assert sharded.fingerprint() == serial.fingerprint()
 
 
+class TestSpilledPartialTraffic:
+    def test_one_shard_partial_is_never_read_back(self, fitted):
+        # A level's only spill hands its fresh value to the combines: a
+        # cold audit of a plain table commits its one partial without
+        # decoding it back, while two shards resolve from the store.  The
+        # notes come from inside the plan, so a warm re-audit reads only
+        # the four sections at either shard count.
+        model, calibration, test = fitted
+        cold, warm = {}, {}
+        for n_shards, data in ((1, test), (2, partition(test, n_shards=2))):
+            store = ArtifactStore(MemoryBackend(), name="spill")
+            auditor = _auditor(store=store)
+            auditor.audit(model, data, np.random.default_rng(99),
+                          calibration=calibration)
+            cold[n_shards] = store.bytes_read
+            auditor.audit(model, data, np.random.default_rng(99),
+                          calibration=calibration)
+            warm[n_shards] = store.bytes_read - cold[n_shards]
+        assert cold[1] == 0
+        assert cold[2] > 0
+        assert warm[1] == warm[2] > 0
+
+
 class TestIncrementalShardedReaudit:
     def test_one_shard_edit_recomputes_only_that_shard(self, fitted):
         model, calibration, test = fitted
@@ -307,7 +330,7 @@ class TestIncrementalShardedReaudit:
         store = ArtifactStore(MemoryBackend(), name="inc")
         auditor = _auditor(store=store)
         executor = Executor(n_jobs=1, name="audit")
-        plan = auditor.build_sharded_plan(
+        plan = auditor.build_plan(
             model, parts, calibration, store=store
         )
         cold = executor.run(plan, store=store, rng=np.random.default_rng(1))
@@ -320,7 +343,7 @@ class TestIncrementalShardedReaudit:
         edited = parts.replaced(
             2, shard.with_column(shard.schema["hours_per_week"], hours)
         )
-        replan = auditor.build_sharded_plan(
+        replan = auditor.build_plan(
             model, edited, calibration, store=store
         )
         rerun = executor.run(replan, store=store,
@@ -337,7 +360,7 @@ class TestIncrementalShardedReaudit:
 
         # An identical rebuild replays everything.
         warm = executor.run(
-            auditor.build_sharded_plan(model, parts, calibration,
+            auditor.build_plan(model, parts, calibration,
                                        store=store),
             store=store, rng=np.random.default_rng(1),
         )

@@ -14,13 +14,11 @@ The high-order bits, in order of importance:
   exit path (the PR's regression fix).
 * **The protocol is versioned** — unknown versions are structured
   rejections; the JSONL wire format is backward-compatible.
-* **ServeConfig is the one surface** — validated, fingerprintable, with
-  the legacy kwargs as deprecated aliases (single warning).
+* **ServeConfig is the one surface** — validated and fingerprintable.
 """
 
 import asyncio
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -383,29 +381,6 @@ def test_config_is_fingerprintable_artifact():
     assert json.loads(one.to_json())["batch_window_ms"] == 2.0
 
 
-def test_legacy_kwargs_warn_once_and_map(table):
-    with pytest.warns(DeprecationWarning) as caught:
-        server = QueryServer(workers=2, seed=11, cache=False,
-                             default_epsilon_budget=5.0,
-                             backend_latency_s=0.0)
-    assert len(caught) == 1
-    assert server.config.workers == 2
-    assert server.config.seed == 11
-    assert server.config.cache is False
-    assert server.cache is None
-    assert server.config.default_epsilon_budget == 5.0
-    assert server.workers == 2                    # legacy attribute alias
-    assert server.default_epsilon_budget == 5.0
-    server.close()
-
-
-def test_legacy_positional_workers(table):
-    with pytest.warns(DeprecationWarning):
-        server = QueryServer(2, seed=3)
-    assert server.config.workers == 2
-    server.close()
-
-
 def test_config_builds_admission(table):
     config = ServeConfig(workers=1, seed=7, rate_limit=2, rate_window_s=60.0,
                          default_epsilon_budget=10.0)
@@ -417,13 +392,6 @@ def test_config_builds_admission(table):
                     for i in range(4)]
     assert statuses[:2] == [STATUS_OK, STATUS_OK]
     assert statuses[2] != STATUS_OK and statuses[3] != STATUS_OK
-
-
-def test_unknown_legacy_kwarg_raises():
-    with pytest.raises(DataError):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            QueryServer(wrokers=2)
 
 
 # -- the async/sync submission surface --------------------------------------
