@@ -1,4 +1,4 @@
-"""E19 — hot learn kernels + engine fusion: vectorized vs the old loops.
+"""E19 — hot learn kernels: vectorized vs the old loops.
 
 ROADMAP item 5: the measured speed pass the profiling/bench investment
 was built for.  This bench pins every claim with the *old*
@@ -13,9 +13,6 @@ implementations carried along as executable baselines:
 * **MLP training** — flat-parameter fused in-place Adam vs the
   per-layer allocating update loop.  Fitted weights, biases, and
   predictions must be byte-identical.
-* **Engine stage fusion** — a warm cached linear table plan run with
-  ``Executor(fuse=True)`` vs unfused: one store round-trip and zero
-  intermediate-value fingerprints per chain, byte-identical results.
 
 Every run appends a ``mode="experiment"`` record to ``BENCH_learn.json``
 via :func:`repro.bench.run_once` — the same trajectory file the suite's
@@ -40,23 +37,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
 from benchmarks._tools import SEED, emit, format_table  # noqa: E402
 from repro.bench import run_once  # noqa: E402
-from repro.data.schema import ColumnRole, Schema, numeric  # noqa: E402
-from repro.data.table import Table  # noqa: E402
-from repro.engine import Executor, Node, Plan  # noqa: E402
 from repro.learn.mlp import MLPClassifier  # noqa: E402
 from repro.learn.neighbors import (  # noqa: E402
     nearest_indices,
     pairwise_distances,
 )
 from repro.learn.tree import DecisionTreeClassifier  # noqa: E402
-from repro.store import ArtifactStore, MemoryBackend  # noqa: E402
 
 #: Full-size floors (ISSUE 8 acceptance criteria); smoke floors under
 #: ``--check`` are deliberately loose — CI runners are noisy.
-FULL_FLOORS = {"tree_fit": 3.0, "knn": 5.0, "mlp_epoch": 1.5,
-               "fusion": 1.0}
-SMOKE_FLOORS = {"tree_fit": 2.0, "knn": 1.5, "mlp_epoch": 1.1,
-                "fusion": 1.0}
+FULL_FLOORS = {"tree_fit": 3.0, "knn": 5.0, "mlp_epoch": 1.5}
+SMOKE_FLOORS = {"tree_fit": 2.0, "knn": 1.5, "mlp_epoch": 1.1}
 
 
 def _timed(fn, repeats: int):
@@ -223,38 +214,6 @@ def naive_mlp_fit(model: MLPClassifier, X, y):
     return model._weights, model._biases
 
 
-# -- fusion workload -------------------------------------------------------
-
-
-def _fusion_plan(n_stages: int) -> Plan:
-    """A linear chain of cacheable table transforms (pipeline-shaped)."""
-
-    def shift(inputs, rng):
-        table = list(inputs.values())[0]
-        return Table._from_canonical(
-            table.schema,
-            {name: table.column(name) + 1.0 for name in table.column_names},
-            table.n_rows,
-        )
-
-    nodes = []
-    previous = "table"
-    for index in range(n_stages):
-        name = f"stage{index}"
-        nodes.append(Node(name, shift, inputs=(previous,),
-                          params={"stage": index}))
-        previous = name
-    return Plan(nodes, inputs=("table",))
-
-
-def _fusion_table(n_rows: int) -> Table:
-    rng = np.random.default_rng(SEED)
-    schema = Schema([numeric(f"c{i}", role=ColumnRole.FEATURE)
-                     for i in range(6)])
-    return Table(schema, {f"c{i}": rng.standard_normal(n_rows)
-                          for i in range(6)})
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -265,11 +224,11 @@ def main(argv=None) -> int:
     repeats = 2 if args.smoke else 3
     if args.smoke:
         n_train, n_query, k = 1200, 400, 10
-        epochs, fusion_rows, fusion_stages = 3, 20_000, 8
+        epochs = 3
         knn_pool_rows = None            # search the training set
     else:
         n_train, n_query, k = 6000, 800, 10
-        epochs, fusion_rows, fusion_stages = 8, 40_000, 8
+        epochs = 8
         # Dedicated situation-testing-sized pool: at full size the k-NN
         # claim is about searching a large population, where the full
         # argsort baseline degrades fastest.
@@ -344,41 +303,6 @@ def main(argv=None) -> int:
     speedups["mlp_epoch"] = (naive_mlp_s / fast_mlp_s
                              if fast_mlp_s else 0.0)  # same epoch count
 
-    # -- engine fusion: warm cached linear plan, fused vs unfused --------
-    plan = _fusion_plan(fusion_stages)
-    table = _fusion_table(fusion_rows)
-    # Generous byte budget: the fused chain stores one artifact holding
-    # all stage outputs, which would blow the default 64 MB LRU cap at
-    # full size and turn every "warm" run into a recompute.
-    store_bytes = 1 << 30
-    unfused_store = ArtifactStore(
-        MemoryBackend(max_entries=64, max_bytes=store_bytes))
-    fused_store = ArtifactStore(
-        MemoryBackend(max_entries=64, max_bytes=store_bytes))
-    unfused = Executor(observe=False)
-    fused = Executor(observe=False, fuse=True)
-    cold_unfused = unfused.run(plan, {"table": table}, store=unfused_store)
-    cold_fused = fused.run(plan, {"table": table}, store=fused_store)
-    warm_unfused, unfused_s = _timed(
-        lambda: unfused.run(plan, {"table": table}, store=unfused_store),
-        repeats + 1,
-    )
-    warm_fused, fused_s = _timed(
-        lambda: fused.run(plan, {"table": table}, store=fused_store),
-        repeats + 1,
-    )
-    for result in (cold_fused, warm_unfused, warm_fused):
-        for name in (node.name for node in plan.nodes):
-            mine = result[name]
-            reference = cold_unfused[name]
-            if not all(np.array_equal(mine.column(c), reference.column(c))
-                       for c in reference.column_names):
-                failures.append(f"FUSION MISMATCH: node {name} differs")
-                break
-    if not all(status == "hit" for status in warm_fused.statuses.values()):
-        failures.append("FUSION MISMATCH: warm fused run was not all hits")
-    speedups["fusion"] = unfused_s / fused_s if fused_s else 0.0
-
     floors = {}
     if not args.smoke:
         floors = FULL_FLOORS
@@ -403,13 +327,12 @@ def main(argv=None) -> int:
             "tree_fit_speedup": round(speedups["tree_fit"], 3),
             "knn_speedup": round(speedups["knn"], 3),
             "mlp_epoch_speedup": round(speedups["mlp_epoch"], 3),
-            "fusion_warm_speedup": round(speedups["fusion"], 3),
             "n_train": n_train,
         },
     )
 
     title = (
-        f"E19{' (smoke)' if args.smoke else ''}: hot learn kernels + fusion "
+        f"E19{' (smoke)' if args.smoke else ''}: hot learn kernels "
         f"vs pre-optimisation baselines ({n_train} train rows)"
     )
     table_text = format_table(
@@ -424,10 +347,6 @@ def main(argv=None) -> int:
             [f"MLP ({epochs} epochs)", fast_mlp_s, naive_mlp_s,
              speedups["mlp_epoch"],
              "NO" if any(f.startswith("MLP") for f in failures) else "yes"],
-            [f"warm plan ({fusion_stages} stages)", fused_s, unfused_s,
-             speedups["fusion"],
-             "NO" if any(f.startswith("FUSION") for f in failures)
-             else "yes"],
         ],
     )
     if args.smoke:

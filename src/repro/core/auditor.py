@@ -489,13 +489,18 @@ class FACTAuditor:
         qi_names = tuple(schema.quasi_identifier_names)
         risk = None
         if qi_names:
-            counts: dict = {}
-            nan_singletons = 0
-            n_rows = 0
-            for partial in partials:
-                counts = merge_counts((counts, partial["qi"]))
-                nan_singletons += partial["qi_nan"]
-                n_rows += partial["n_rows"]
+            nan_singletons = n_rows = 0
+
+            def shard_counts():
+                # One pass, one partial resident: the fold reads each
+                # shard's class counts while the tallies ride along.
+                nonlocal nan_singletons, n_rows
+                for partial in partials:
+                    nan_singletons += partial["qi_nan"]
+                    n_rows += partial["n_rows"]
+                    yield partial["qi"]
+
+            counts = merge_counts(shard_counts())
             risk = risk_from_counts(
                 qi_names, counts, nan_singletons, n_rows=n_rows
             )

@@ -18,8 +18,6 @@ from repro.data.split import (
 )
 from repro.data.table import Table
 from repro.data.partition import (
-    MergeableMoments,
-    MergeableQuantiles,
     PartitionedTable,
     merge_counts,
     partition,
@@ -27,8 +25,6 @@ from repro.data.partition import (
 from repro.data.impute import SimpleImputer
 
 __all__ = [
-    "MergeableMoments",
-    "MergeableQuantiles",
     "PartitionedTable",
     "SimpleImputer",
     "ColumnRole",

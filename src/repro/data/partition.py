@@ -18,28 +18,14 @@ only the touched shard.  ``partition`` / ``concat`` round-trip exactly:
 ``PartitionedTable.partition(t, n).concat()`` carries byte-identical
 column content to ``t``.
 
-The module also ships the small mergeable-summary vocabulary the
-sharded combine steps build on:
-
-* :func:`merge_counts` — contingency-style integer counts merge
-  *exactly* (integer addition is associative);
-* :class:`MergeableMoments` — (n, Σx, Σx²) accumulators merged in shard
-  order: deterministic at any shard count, and exact whenever the
-  summed values are integers or 0/1 indicators (every count-derived
-  statistic in the FACT audit);
-* :class:`MergeableQuantiles` — the documented mergeable-summary path
-  for quantile-based checks: shards contribute their sorted values,
-  merges preserve the full multiset, so any quantile of the merged
-  summary is **byte-identical** to ``np.quantile`` over the unsharded
-  column (pinned by golden tests at several shard counts).
+The module also ships :func:`merge_counts`, the mergeable summary the
+sharded confidentiality combine builds on: contingency-style integer
+counts merge *exactly* (integer addition is associative).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.data.table import Table
 from repro.exceptions import DataError, SchemaError
@@ -348,97 +334,3 @@ def merge_counts(mappings) -> dict:
         for key, count in mapping.items():
             merged[key] = merged.get(key, 0) + int(count)
     return merged
-
-
-@dataclass(frozen=True)
-class MergeableMoments:
-    """(n, Σx, Σx²) accumulator with an order-fixed merge.
-
-    Merging in shard order is deterministic at every shard count and
-    *exact* whenever the summed values are integers or 0/1 indicators
-    below 2**53 (counts, selection indicators, contingency-derived
-    sums — the statistics the sharded audit actually folds).  For
-    general floats the merge is deterministic but need not be bit-equal
-    to a monolithic ``np.mean``; checks that require bit-equality to
-    the serial path concatenate values instead (see
-    :class:`MergeableQuantiles` and :mod:`repro.engine.sharding`).
-    """
-
-    n: int
-    total: float
-    total_sq: float
-
-    @classmethod
-    def of(cls, values) -> "MergeableMoments":
-        """The moments of one shard's values."""
-        array = np.asarray(values, dtype=np.float64)
-        return cls(n=int(array.size), total=float(array.sum()),
-                   total_sq=float(np.square(array).sum()))
-
-    def merge(self, other: "MergeableMoments") -> "MergeableMoments":
-        """This summary folded with the next shard's (in shard order)."""
-        return MergeableMoments(
-            n=self.n + other.n,
-            total=self.total + other.total,
-            total_sq=self.total_sq + other.total_sq,
-        )
-
-    @property
-    def mean(self) -> float:
-        """Σx / n (0.0 when empty)."""
-        return self.total / self.n if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance from the accumulated moments."""
-        if not self.n:
-            return 0.0
-        mean = self.mean
-        return max(self.total_sq / self.n - mean * mean, 0.0)
-
-
-class MergeableQuantiles:
-    """The mergeable-summary path for quantile-based checks.
-
-    Keeps each shard's values sorted; merging concatenates and re-sorts,
-    preserving the full multiset — so ``quantile(q)`` over the merged
-    summary is **byte-identical** to ``np.quantile`` over the unsharded
-    values, at any shard count and merge order.  This is the exact
-    (store-everything) end of the mergeable-sketch spectrum: audits pin
-    bit-equality to the serial path, so a lossy sketch is not an option
-    here, and the narrow per-shard statistic columns it summarizes are
-    small relative to the shards themselves.
-    """
-
-    def __init__(self, values=()):
-        self._values = np.sort(np.asarray(values, dtype=np.float64))
-
-    @classmethod
-    def of(cls, values) -> "MergeableQuantiles":
-        """The summary of one shard's values."""
-        return cls(values)
-
-    def merge(self, other: "MergeableQuantiles") -> "MergeableQuantiles":
-        """The multiset union of the two summaries."""
-        merged = MergeableQuantiles.__new__(MergeableQuantiles)
-        merged._values = np.sort(
-            np.concatenate([self._values, other._values])
-        )
-        return merged
-
-    @property
-    def n(self) -> int:
-        """How many values the summary holds."""
-        return int(self._values.size)
-
-    def quantile(self, q) -> np.ndarray | np.float64:
-        """``np.quantile`` of the full merged multiset."""
-        if not self._values.size:
-            raise DataError("quantile of an empty summary")
-        return np.quantile(self._values, q)
-
-    def values(self) -> np.ndarray:
-        """The sorted merged values (read-only view)."""
-        view = self._values.view()
-        view.flags.writeable = False
-        return view

@@ -38,7 +38,7 @@ from repro.engine.node import (
     seed_identity,
     value_fingerprint,
 )
-from repro.engine.plan import FusedChain, Plan
+from repro.engine.plan import Plan
 from repro.engine.sharding import (
     ShardPartials,
     combine_node,
@@ -48,7 +48,6 @@ from repro.engine.sharding import (
 
 __all__ = [
     "Executor",
-    "FusedChain",
     "Node",
     "NodeRun",
     "Plan",

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine.node import Node, seed_identity, value_fingerprint
-from repro.engine.plan import FusedChain, Plan
+from repro.engine.plan import Plan
 from repro.exceptions import PlanError
 from repro.parallel.executor import ParallelExecutor, ParallelTaskError
 from repro.parallel.rng import spawn_seeds
@@ -132,21 +132,10 @@ class Executor:
         ``False`` silences node spans even when telemetry is
         configured (the serve hot path, which records query spans at a
         higher level already).
-    fuse:
-        ``True`` runs each maximal linear chain of cacheable
-        single-input nodes (see :meth:`Plan.fusion_chains`) as one
-        fused unit: one chained cache key, one store round-trip
-        holding every member's value, one telemetry span.  Per-member
-        results, cache statuses, observer calls, and provenance
-        records are preserved, and values are byte-identical to
-        unfused execution (fusion silently disables itself on plans
-        where it would reorder shared-rng draws).  Off by default:
-        per-node spans are the documented observability contract.
     """
 
     def __init__(self, n_jobs: int | None = None, backend: str = "serial",
-                 name: str = "engine", observe: bool = True,
-                 fuse: bool = False):
+                 name: str = "engine", observe: bool = True):
         self._pool = ParallelExecutor(
             n_jobs=n_jobs,
             backend="thread" if backend == "process" else backend,
@@ -157,7 +146,6 @@ class Executor:
         self.backend = backend
         self.name = name
         self.observe = bool(observe)
-        self.fuse = bool(fuse)
 
     # -- public API ---------------------------------------------------------
 
@@ -213,9 +201,7 @@ class Executor:
 
         runs: list[NodeRun] = []
         artifact_ids = self._register_inputs(provenance, plan, inputs)
-        index = 0
-        levels = plan.fused_levels() if self.fuse else plan.levels()
-        for level_index, level in enumerate(levels):
+        for level_index, level in enumerate(plan.levels()):
             outcomes = self._run_level(
                 level, results, fp_of, seeds, rng, store, telemetry,
                 parent_id, collector,
@@ -226,39 +212,16 @@ class Executor:
             level_mark = (telemetry.clock.now()
                           if telemetry is not None and len(level) > 1
                           else None)
-            for unit, (value, status) in zip(level, outcomes):
-                if isinstance(unit, FusedChain):
-                    # One fused artifact, but every member keeps its
-                    # own result, run record, provenance step, and
-                    # observer call.
-                    member_runs = []
-                    for node, member_value in zip(unit.members, value):
-                        results[node.name] = member_value
-                        run = NodeRun(node=node, value=member_value,
-                                      status=status, index=index,
-                                      level=level_index)
-                        runs.append(run)
-                        member_runs.append(run)
-                        self._record_provenance(provenance, artifact_ids,
-                                                run)
-                        if observer is not None:
-                            observer(run)
-                        index += 1
-                    self._record_chain_span(telemetry, parent_id, unit,
-                                            member_runs, results,
-                                            level_mark, collector)
-                    continue
-                node = unit
+            for node, (value, status) in zip(level, outcomes):
                 results[node.name] = value
                 run = NodeRun(node=node, value=value, status=status,
-                              index=index, level=level_index)
+                              index=len(runs), level=level_index)
                 runs.append(run)
                 self._record_span(telemetry, parent_id, run, results,
                                   level_mark, collector)
                 self._record_provenance(provenance, artifact_ids, run)
                 if observer is not None:
                     observer(run)
-                index += 1
         return PlanResult(plan, results, tuple(runs))
 
     # -- internals ----------------------------------------------------------
@@ -343,80 +306,21 @@ class Executor:
 
         return thunk
 
-    def _chain_thunk(self, chain: FusedChain, results: dict, fp_of,
-                     shared_rng, store, collector=None):
-        members = chain.members
-        head = members[0]
-        input_values = {name: results[name] for name in head.inputs}
-
-        def fold_key(visit=None) -> str:
-            """Each member's key over its predecessor's — the key *is*
-            the input fingerprint of the next member, so a change to
-            any member's code/params/inputs re-keys the whole chain."""
-            input_fps = {name: fp_of(name) for name in head.inputs}
-            key = head.key(input_fps)
-            if visit is not None:
-                visit(head, input_fps)
-            for node in members[1:]:
-                input_fps = {node.inputs[0]: key}
-                if visit is not None:
-                    visit(node, input_fps)
-                key = node.key(input_fps)
-            return key
-
-        def lazy_tags() -> tuple:
-            tags: dict = {}
-
-            def visit(node, input_fps):
-                tags.update(dict.fromkeys(node.resolved_tags(input_fps)))
-
-            fold_key(visit)
-            return tuple(tags)
-
-        continuity_rng = shared_rng if chain.rng == "shared" else None
-
-        def compute():
-            values = []
-            scope = dict(input_values)
-            for node in members:
-                node_rng = shared_rng if node.rng == "shared" else None
-                value = node.run(
-                    {name: scope[name] for name in node.inputs}, node_rng
-                )
-                scope[node.name] = value
-                values.append(value)
-            return tuple(values)
-
-        if collector is not None:
-            compute = collector.wrap(("node", chain.name), compute)
-
-        def thunk():
-            return store.memoize_with_status(
-                compute, key=fold_key, rng=continuity_rng, tags=lazy_tags
-            )
-
-        return thunk
-
     def _run_level(self, level, results, fp_of, seeds, shared_rng, store,
                    telemetry, parent_id, collector=None) -> list:
         if (
             self.backend == "process"
             and self.n_jobs > 1
             and len(level) > 1
-            and all(isinstance(unit, Node) and unit.task is not None
-                    for unit in level)
+            and all(node.task is not None for node in level)
         ):
             return self._run_level_process(level, store, telemetry,
                                            parent_id, collector)
-        hold = sum(isinstance(unit, Node) and unit.spill
-                   for unit in level) == 1
+        hold = sum(node.spill for node in level) == 1
         thunks = [
-            self._chain_thunk(unit, results, fp_of, shared_rng, store,
-                              collector)
-            if isinstance(unit, FusedChain)
-            else self._thunk(unit, results, fp_of, seeds, shared_rng,
-                             store, collector, hold)
-            for unit in level
+            self._thunk(node, results, fp_of, seeds, shared_rng, store,
+                        collector, hold)
+            for node in level
         ]
         # Shared-rng nodes thread one generator, so any level holding
         # one must run serially; single-node levels gain nothing from a
@@ -531,35 +435,6 @@ class Executor:
             attributes.update(collector.attributes(("node", node.name)))
         telemetry.tracer.record_span(
             f"{self.name}:{node.label}", begun, ended,
-            parent_id=parent_id, **attributes,
-        )
-
-    def _record_chain_span(self, telemetry, parent_id, chain: FusedChain,
-                           member_runs, results: dict, level_mark,
-                           collector=None) -> None:
-        """One span for a fused chain (named ``a+b+c``), with the same
-        cache/level/n_jobs attributes a node span carries plus the
-        member count; the tail's ``annotate`` describes the chain's
-        output."""
-        if telemetry is None:
-            return
-        begun = telemetry.clock.now()
-        ended = telemetry.clock.now()
-        attributes = dict(chain.span_attrs)
-        tail = chain.tail
-        if tail.annotate is not None:
-            inputs = {name: results[name] for name in tail.inputs}
-            attributes.update(tail.annotate(results[tail.name], inputs))
-        attributes["cache"] = member_runs[0].status
-        attributes["fused"] = len(chain.members)
-        attributes["level"] = member_runs[0].level
-        attributes["n_jobs"] = self.n_jobs
-        if level_mark is not None:
-            attributes["wait"] = begun - level_mark
-        if collector is not None:
-            attributes.update(collector.attributes(("node", chain.name)))
-        telemetry.tracer.record_span(
-            f"{self.name}:{chain.label}", begun, ended,
             parent_id=parent_id, **attributes,
         )
 

@@ -19,60 +19,6 @@ from repro.exceptions import PlanError
 from repro.store.fingerprint import fingerprint
 
 
-def _fusable(node: Node) -> bool:
-    """May this node join a fused chain?
-
-    Fusion replays a whole chain from one stored artifact, so members
-    must be cacheable, executable, and free of per-node seed spawning
-    (``rng="spawn"`` nodes own a positionally spawned stream whose
-    identity is part of their cache key — they stay singleton units).
-    Shard-map nodes stay out too: a process ``task`` must dispatch as
-    its own map unit, and a ``spill`` node's artifact is its value's
-    only home — folding either into a chained artifact would defeat
-    exactly what they exist for.
-    """
-    return (node.cacheable and node.fn is not None
-            and node.rng in (None, "shared")
-            and node.task is None and not node.spill)
-
-
-class FusedChain:
-    """A maximal linear run of fusable nodes, executed as one unit.
-
-    The executor treats a chain like a super-node: one cache key (each
-    member's key folded over its predecessor's, so editing any member
-    still invalidates), one store round-trip holding the tuple of every
-    member's value, and one telemetry span — while per-member results,
-    observer calls, and provenance records are all preserved.
-    """
-
-    def __init__(self, members: Sequence[Node]):
-        self.members = tuple(members)
-        self.name = "+".join(node.name for node in self.members)
-        self.label = "+".join(node.label for node in self.members)
-        self.inputs = self.members[0].inputs
-        self.rng = ("shared"
-                    if any(node.rng == "shared" for node in self.members)
-                    else None)
-        attrs: dict = {}
-        for node in self.members:
-            attrs.update(node.span_attrs)
-        self.span_attrs = attrs
-
-    @property
-    def head(self) -> Node:
-        """First member — carries the chain's external inputs."""
-        return self.members[0]
-
-    @property
-    def tail(self) -> Node:
-        """Last member — its value is the chain's external output."""
-        return self.members[-1]
-
-    def __repr__(self) -> str:
-        return f"FusedChain({[node.name for node in self.members]})"
-
-
 class Plan:
     """A dependency-aware dataflow plan over :class:`Node` objects.
 
@@ -122,7 +68,6 @@ class Plan:
         self._nodes = tuple(
             node for level in self._levels for node in level
         )
-        self._fused_levels: tuple[tuple, ...] | None = None
 
     def _schedule(self, declared: list[Node]) -> tuple[tuple[Node, ...], ...]:
         """Level decomposition (Kahn's algorithm, declaration-order stable)."""
@@ -177,107 +122,6 @@ class Plan:
         return tuple(
             node for node in self._nodes if node.name not in consumed
         )
-
-    # -- stage fusion ---------------------------------------------------------
-
-    def fusion_chains(self) -> tuple[FusedChain, ...]:
-        """Maximal linear chains of fusable nodes (length >= 2).
-
-        Node ``a`` feeds chain-mate ``b`` iff both are fusable
-        (see :func:`_fusable`), ``b``'s only input is ``a``, and ``b``
-        is ``a``'s only consumer — so every intermediate value is
-        private to the chain and may live solely inside its fused
-        artifact.
-        """
-        consumers: dict[str, list[Node]] = {}
-        for node in self._nodes:
-            for dependency in node.inputs:
-                consumers.setdefault(dependency, []).append(node)
-        next_of: dict[str, Node] = {}
-        has_prev: set[str] = set()
-        for node in self._nodes:
-            if not _fusable(node):
-                continue
-            fans_to = consumers.get(node.name, [])
-            if len(fans_to) != 1:
-                continue
-            successor = fans_to[0]
-            if not _fusable(successor):
-                continue
-            if successor.inputs != (node.name,):
-                continue
-            next_of[node.name] = successor
-            has_prev.add(successor.name)
-        chains = []
-        for node in self._nodes:
-            if node.name in has_prev or node.name not in next_of:
-                continue
-            members = [node]
-            while members[-1].name in next_of:
-                members.append(next_of[members[-1].name])
-            chains.append(FusedChain(members))
-        return tuple(chains)
-
-    def fused_levels(self) -> tuple[tuple, ...]:
-        """The level schedule over fusion units (cached).
-
-        Each unit is a :class:`FusedChain` or a plain :class:`Node`.
-        If fusing would reorder the plan's ``rng="shared"`` nodes
-        relative to the unfused topological order (their generator is
-        threaded sequentially, so order *is* semantics), fusion is
-        disabled for the whole plan and the plain node levels are
-        returned — fused execution is always byte-identical.
-        """
-        if self._fused_levels is None:
-            self._fused_levels = self._fuse_schedule()
-        return self._fused_levels
-
-    def _fuse_schedule(self) -> tuple[tuple, ...]:
-        chains = self.fusion_chains()
-        if not chains:
-            return self._levels
-        unit_of: dict[str, object] = {}
-        units: list = []
-        for chain in chains:
-            units.append(chain)
-            for member in chain.members:
-                unit_of[member.name] = chain
-        for node in self._nodes:
-            if node.name not in unit_of:
-                unit_of[node.name] = node
-                units.append(node)
-        # Kahn over units, stable in plan order of each unit's head.
-        units.sort(key=lambda unit: self._nodes.index(
-            unit.members[0] if isinstance(unit, FusedChain) else unit
-        ))
-        satisfied = set(self.input_names)
-        remaining = list(units)
-        levels: list[tuple] = []
-        while remaining:
-            ready = [
-                unit for unit in remaining
-                if all(dep in satisfied for dep in unit.inputs)
-            ]
-            levels.append(tuple(ready))
-            for unit in ready:
-                if isinstance(unit, FusedChain):
-                    satisfied.update(node.name for node in unit.members)
-                else:
-                    satisfied.add(unit.name)
-            remaining = [unit for unit in remaining if unit not in ready]
-        fused_shared = [
-            node.name
-            for level in levels
-            for unit in level
-            for node in (unit.members if isinstance(unit, FusedChain)
-                         else (unit,))
-            if node.rng == "shared"
-        ]
-        plan_shared = [node.name for node in self._nodes
-                       if node.rng == "shared"]
-        if fused_shared != plan_shared:
-            return self._levels
-        return tuple(levels)
 
     # -- identity / rendering ------------------------------------------------
 

@@ -27,8 +27,7 @@ a time, **in shard order** — so a combine that concatenates or folds
 sequentially is deterministic by construction, and byte-identical to
 the unsharded computation whenever the per-shard function is row-wise
 pure and the merged statistics are exact (counts, contingencies,
-concatenated arrays; see :mod:`repro.data.partition` for the mergeable
-vocabulary).
+concatenated arrays; see :func:`repro.data.partition.merge_counts`).
 """
 
 from __future__ import annotations

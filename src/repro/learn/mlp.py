@@ -10,7 +10,7 @@ by construction, and therefore the subject of every explainer in
 Training: mini-batch Adam on the weighted cross-entropy, ReLU hidden
 layers, Glorot initialisation.
 
-Hot-path design (see docs/api.md, "Hot kernels & fusion"): all weights
+Hot-path design (see docs/api.md, "Hot kernels"): all weights
 and biases live in one contiguous parameter vector, with the per-layer
 matrices exposed as reshaped views.  Gradients are written straight into
 a matching flat vector (``np.matmul(..., out=...)``), so the Adam update

@@ -5,7 +5,7 @@ responsibility tools: *situation testing* for individual fairness (find a
 person's cross-group twins and compare decisions) and the consistency
 metric (do similar people get similar outcomes?).
 
-Hot-path design (see docs/api.md, "Hot kernels & fusion"): queries are
+Hot-path design (see docs/api.md, "Hot kernels"): queries are
 processed in blocks so the working distance matrix stays bounded
 (``_BLOCK_ELEMENTS`` floats) no matter how many queries arrive, and each
 block selects its ``k`` nearest rows on the *squared* distances with an

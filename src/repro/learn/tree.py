@@ -6,7 +6,7 @@ of the random forest, and — crucially for the transparency pillar — the
 Leaves store weighted positive-class fractions so trees are probabilistic
 like every other classifier here.
 
-Hot-path design (see docs/api.md, "Hot kernels & fusion"): each feature
+Hot-path design (see docs/api.md, "Hot kernels"): each feature
 column is **argsorted once per fit** and the per-node sorted orders are
 maintained by partitioning the parent's presorted index matrix — no
 re-sorting at any node.  Candidate splits are scored with one vectorized

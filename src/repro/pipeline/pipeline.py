@@ -86,20 +86,13 @@ class Pipeline:
         warm run recomputes only the stages whose inputs changed.
         Provenance and the audit log record hits exactly as they record
         recomputes — the trail is byte-identical either way.
-    fuse:
-        ``True`` lets the engine run maximal chains of consecutive
-        cacheable stages as single fused units (one cache key, one
-        store round-trip, one ``stage:a+b+...`` span) — see
-        :class:`repro.engine.Executor`.  Tables, the audit log, and
-        provenance are byte-identical either way; only the span shape
-        changes, so it is opt-in.
     """
 
     def __init__(self, stages: list[Stage],
                  provenance: str = "fingerprint",
                  accountant: PrivacyAccountant | None = None,
                  actor: str = "pipeline",
-                 store=None, fuse: bool = False):
+                 store=None):
         if not stages:
             raise DataError("pipeline needs at least one stage")
         if provenance not in PROVENANCE_MODES:
@@ -111,7 +104,6 @@ class Pipeline:
         self.accountant = accountant
         self.actor = actor
         self.store = store
-        self.fuse = bool(fuse)
 
     def build_plan(self, context: PipelineContext) -> Plan:
         """The pipeline as a linear :class:`repro.engine.Plan`.
@@ -192,8 +184,7 @@ class Pipeline:
                     )
                     trail["artifact"] = next_artifact
 
-            executor = Executor(n_jobs=1, backend="serial", name="stage",
-                                fuse=self.fuse)
+            executor = Executor(n_jobs=1, backend="serial", name="stage")
             plan_result = executor.run(
                 self.build_plan(context), {"table": table},
                 store=store, rng=context.rng, observer=observer,

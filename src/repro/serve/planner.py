@@ -29,14 +29,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.data.schema import ColumnType
 from repro.data.table import Table
-from repro.engine import Node, Plan
+from repro.engine import Node
 from repro.exceptions import DataError
 from repro.serve.protocol import KINDS, QueryRequest
-from repro.store.fingerprint import fingerprint
 
 #: Kinds that aggregate a numeric column under declared bounds.
 _BOUNDED_KINDS = ("sum", "mean", "quantile")
@@ -82,31 +80,6 @@ class QueryPlan:
         """
         return (self.table, self.table_version, self.kind, self.column,
                 self.lower, self.upper, self.q, self.bins)
-
-    def as_node(self, execute: Callable | None = None) -> Node:
-        """This query as an engine node.
-
-        Without ``execute`` the node is representation-only — it can be
-        fingerprinted and wired but not run (what the planner needs).
-        With ``execute`` (a ``plan -> value`` callable, e.g. the
-        server's noisy-execution dispatch) the node computes the
-        release.  Uncacheable by design: each execution must draw fresh
-        noise — *answer* replay is the :class:`AnswerCache`'s job,
-        governed by budget semantics, not the artifact store's.
-        """
-        fn = None
-        if execute is not None:
-            fn = lambda inputs, rng: execute(self)  # noqa: E731
-        return Node(
-            f"query:{self.kind}", fn,
-            key_parts=self.key_parts(),
-            cacheable=False,
-            label=f"query:{self.kind}",
-        )
-
-    def as_engine_plan(self, execute: Callable) -> Plan:
-        """The query as a runnable one-node :class:`repro.engine.Plan`."""
-        return Plan([self.as_node(execute)])
 
 
 class QueryPlanner:
@@ -290,8 +263,3 @@ class QueryPlanner:
         raise DataError(
             f"request names no table and several are registered: {self.table_names}"
         )
-
-
-#: Backwards-compatible alias: the canonicalisation moved to
-#: :mod:`repro.store.fingerprint` (same digests for every planner input).
-_fingerprint = fingerprint

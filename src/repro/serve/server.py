@@ -39,8 +39,8 @@ The public surface is :meth:`submit` / :meth:`submit_many` /
 synchronous wrappers kept for PR2-era callers, and a
 :class:`PendingResult` serves sync (``.result()``) and async
 (``await``) consumers alike.  Configuration lives in one validated
-:class:`~repro.serve.config.ServeConfig`; the historical constructor
-kwargs keep working as deprecated aliases.
+:class:`~repro.serve.config.ServeConfig`; the constructor takes no
+per-setting kwargs.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Golden-value pins for the optimised learn kernels.
 
 The hot-kernel rewrites (presorted tree splits, blocked k-NN selection,
-fused MLP Adam — see docs/api.md, "Hot kernels & fusion") all promise
+fused MLP Adam — see docs/api.md, "Hot kernels") all promise
 *byte-identical* results to the straightforward implementations they
 replaced.  These tests freeze that promise: each digest below was
 captured from the pre-optimisation code on a fixed-seed dataset, and

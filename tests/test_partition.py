@@ -13,8 +13,6 @@ import pytest
 
 from repro.core import FACTAuditor
 from repro.data import (
-    MergeableMoments,
-    MergeableQuantiles,
     PartitionedTable,
     merge_counts,
     partition,
@@ -166,37 +164,6 @@ class TestMergeableSummaries:
     def test_merge_counts_is_exact(self):
         merged = merge_counts([{"a": 2, "b": 1}, {"b": 3, "c": 1}, {"a": 1}])
         assert merged == {"a": 3, "b": 4, "c": 1}
-
-    def test_moments_merge_exactly_for_indicators(self):
-        values = (np.arange(257) % 2).astype(np.float64)
-        whole = MergeableMoments.of(values)
-        folded = MergeableMoments.of(values[:100])
-        folded = folded.merge(MergeableMoments.of(values[100:180]))
-        folded = folded.merge(MergeableMoments.of(values[180:]))
-        assert folded == whole
-        assert folded.mean == float(values.mean())
-
-    def test_quantiles_byte_identical_at_every_shard_count(self):
-        values = np.random.default_rng(123).standard_normal(101)
-        probes = (0.1, 0.25, 0.5, 0.9)
-        expected = np.quantile(values, probes)
-        for n_shards in (1, 2, 5, 13):
-            bounds = np.linspace(0, len(values), n_shards + 1).astype(int)
-            summary = MergeableQuantiles.of(values[bounds[0]:bounds[1]])
-            for i in range(1, n_shards):
-                summary = summary.merge(
-                    MergeableQuantiles.of(values[bounds[i]:bounds[i + 1]])
-                )
-            assert summary.n == len(values)
-            assert summary.quantile(probes).tolist() == expected.tolist()
-        # Golden pins: the merged-summary quantiles of this exact stream.
-        assert float(np.quantile(values, 0.1)) == -0.9891213503478509
-        assert float(np.quantile(values, 0.5)) == 0.005114312828982818
-        assert float(np.quantile(values, 0.9)) == 1.2879252612892487
-
-    def test_empty_quantile_summary_raises(self):
-        with pytest.raises(DataError):
-            MergeableQuantiles.of([]).quantile(0.5)
 
 
 # -- shard-aware engine nodes -------------------------------------------------

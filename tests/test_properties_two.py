@@ -10,6 +10,14 @@ from repro.confidentiality.mechanisms import (
     randomized_response,
     randomized_response_estimate,
 )
+from repro.confidentiality.risk import (
+    assess_risk,
+    qi_class_counts,
+    risk_from_counts,
+)
+from repro.data.partition import merge_counts
+from repro.data.schema import ColumnRole, Schema, categorical, numeric
+from repro.data.table import Table
 from repro.learn.isotonic import IsotonicCalibrator, pool_adjacent_violators
 from repro.process.log import EventLog, Trace
 from repro.process.model import ProcessModel, START, END
@@ -175,3 +183,47 @@ def test_mondrian_always_achieves_k(seed, n_rows, k):
     anonymized = MondrianAnonymizer(k=k).anonymize(table)
     assert k_anonymity_level(anonymized) >= k
     assert anonymized.n_rows == table.n_rows
+
+
+# -- mergeable quasi-identifier class counts ------------------------------------------
+
+QI_SCHEMA = Schema([
+    numeric("age", role=ColumnRole.QUASI_IDENTIFIER),
+    categorical("city", role=ColumnRole.QUASI_IDENTIFIER),
+])
+# Special values drawn often: NaN is its own class, -0.0 == 0.0, and the
+# key's unit separator and length-prefix marker appear inside strings.
+qi_ages = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, float("nan")]),
+    st.floats(allow_infinity=False),
+)
+qi_cities = st.text(alphabet="a1#\x1f", max_size=4)
+
+
+@st.composite
+def qi_row_splits(draw):
+    """A small two-QI table and row-range bounds over it.  Repeated cut
+    points give empty pieces, adjacent ones single-row pieces."""
+    rows = draw(st.lists(st.tuples(qi_ages, qi_cities), max_size=24))
+    cuts = draw(st.lists(st.integers(0, len(rows)), max_size=6))
+    table = Table(QI_SCHEMA, {
+        "age": np.array([age for age, _ in rows], dtype=np.float64),
+        "city": [city for _, city in rows],
+    })
+    return table, [0, *sorted(cuts), len(rows)]
+
+
+@given(qi_row_splits())
+@settings(max_examples=300, deadline=None)
+def test_qi_class_counts_merge_exactly_across_row_splits(split):
+    table, bounds = split
+    pieces = [qi_class_counts(table.slice(start, stop))
+              for start, stop in zip(bounds, bounds[1:])]
+    whole_counts, whole_nan = qi_class_counts(table)
+    merged = merge_counts(counts for counts, _ in pieces)
+    nan_singletons = sum(nan for _, nan in pieces)
+    assert merged == whole_counts
+    assert nan_singletons == whole_nan
+    assert risk_from_counts(
+        ("age", "city"), merged, nan_singletons, n_rows=table.n_rows
+    ) == assess_risk(table)

@@ -37,7 +37,7 @@ from repro.pipeline.stage import (
     RedactStage,
     TrainStage,
 )
-from repro.serve.planner import QueryPlanner, QueryRequest, _fingerprint
+from repro.serve.planner import QueryPlanner, QueryRequest
 from repro.store import (
     Artifact,
     ArtifactStore,
@@ -99,7 +99,6 @@ def test_canonical_collapses_equivalent_values():
 
 
 def test_planner_delegates_to_shared_fingerprint(small_table):
-    assert _fingerprint is fingerprint  # the back-compat alias
     planner = QueryPlanner()
     planner.register_table("t", small_table)
     plan = planner.plan(QueryRequest(
@@ -477,14 +476,14 @@ def test_table_change_invalidates_the_audit(audit_setup):
 # -- pipeline stage caching -------------------------------------------------------
 
 
-def _make_pipeline(store, fuse=False):
+def _make_pipeline(store):
     return Pipeline([
         CleanStage(),
         RedactStage(),
         TrainStage(TableClassifier(LogisticRegression())),
         PredictStage(),
         DecideStage(threshold=0.4),
-    ], store=store, fuse=fuse)
+    ], store=store)
 
 
 def test_pipeline_replays_cacheable_stages(audit_setup):
@@ -503,26 +502,6 @@ def test_pipeline_replays_cacheable_stages(audit_setup):
     # The FACT trail records hits exactly as it records recomputes.
     assert len(warm.context.audit) == len(cold.context.audit)
     assert warm.context.provenance.n_steps == cold.context.provenance.n_steps
-
-
-def test_fused_pipeline_is_byte_identical_to_unfused(audit_setup):
-    _, train, _, _ = audit_setup
-    plain = _make_pipeline(ArtifactStore()).run(
-        train, np.random.default_rng(3)
-    )
-    store = ArtifactStore()
-    for expect_hits in (False, True):       # cold, then warm from cache
-        fused = _make_pipeline(store, fuse=True).run(
-            train, np.random.default_rng(3)
-        )
-        for name in plain.table.column_names:
-            assert np.array_equal(
-                fused.table.column(name), plain.table.column(name)
-            ), name
-        assert len(fused.context.audit) == len(plain.context.audit)
-        assert (fused.context.provenance.n_steps
-                == plain.context.provenance.n_steps)
-        assert (store.hits > 0) is expect_hits
 
 
 def test_function_stage_opts_into_caching(audit_setup):
