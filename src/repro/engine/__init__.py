@@ -12,7 +12,7 @@ through any :class:`~repro.store.ArtifactStore` (or none, via
 through :mod:`repro.obs`, and recorded into a
 :class:`~repro.pipeline.provenance.ProvenanceGraph`.
 
-Three subsystems run on it:
+Two subsystems run on it:
 
 * :class:`repro.pipeline.Pipeline` builds a *linear* plan (one node per
   stage, shared-rng continuity, stage spans and provenance unchanged);
@@ -20,10 +20,7 @@ Three subsystems run on it:
   node per shard (a plain table is one shard), then the
   fairness/accuracy/confidentiality/transparency sections, which
   execute concurrently and re-audit incrementally with no hand-written
-  keys;
-* :class:`repro.serve.QueryPlanner` represents every served query as a
-  one-node plan whose ``key_parts`` reproduce the historical answer
-  digests exactly.
+  keys.
 
 Determinism contract: a plan's results are bit-identical for every
 ``n_jobs``, every backend, and with or without a store, because each

@@ -1,9 +1,9 @@
 """``Executor``: runs a :class:`~repro.engine.plan.Plan` responsibly.
 
-One runtime under :class:`~repro.pipeline.pipeline.Pipeline`,
-:class:`~repro.core.auditor.FACTAuditor`, and :mod:`repro.serve` — the
-FACT instrumentation lives *here*, in the execution substrate, instead
-of being re-implemented at every call site:
+One runtime under :class:`~repro.pipeline.pipeline.Pipeline` and
+:class:`~repro.core.auditor.FACTAuditor` — the FACT instrumentation
+lives *here*, in the execution substrate, instead of being
+re-implemented at every call site:
 
 * **Concurrency without nondeterminism.**  The plan's levels run in
   order; within a level, independent ready nodes fan out through
@@ -128,14 +128,10 @@ class Executor:
         requested backend through their own parameters.
     name:
         Span prefix: node spans are named ``{name}:{node.label}``.
-    observe:
-        ``False`` silences node spans even when telemetry is
-        configured (the serve hot path, which records query spans at a
-        higher level already).
     """
 
     def __init__(self, n_jobs: int | None = None, backend: str = "serial",
-                 name: str = "engine", observe: bool = True):
+                 name: str = "engine"):
         self._pool = ParallelExecutor(
             n_jobs=n_jobs,
             backend="thread" if backend == "process" else backend,
@@ -145,7 +141,6 @@ class Executor:
         self.n_jobs = self._pool.n_jobs
         self.backend = backend
         self.name = name
-        self.observe = bool(observe)
 
     # -- public API ---------------------------------------------------------
 
@@ -179,7 +174,7 @@ class Executor:
             raise PlanError(
                 "plan has rng='shared' nodes but no rng was given"
             )
-        telemetry = obs.get() if self.observe else None
+        telemetry = obs.get()
         tracer = telemetry.tracer if telemetry is not None else None
         collector = telemetry.collector if telemetry is not None else None
         parent_id = None

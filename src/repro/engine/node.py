@@ -97,7 +97,7 @@ class Node:
         ``fn(inputs, rng) -> value`` where ``inputs`` is a dict of the
         resolved upstream values.  ``None`` makes the node
         representation-only (it can be fingerprinted and validated but
-        not executed) — the serve planner's one-node query plans.
+        not executed) — the serve planner's query identity.
     inputs:
         Names of upstream nodes (or plan inputs) this node consumes.
     params:

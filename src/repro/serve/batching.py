@@ -1,4 +1,4 @@
-"""The async batched dispatch loop and the vectorized release kernels.
+"""The async batched dispatch loop.
 
 This module is the serving front end's engine room.  A single asyncio
 event loop (on its own daemon thread) owns admission, planning, cache
@@ -7,20 +7,18 @@ grouped by :attr:`~repro.serve.planner.QueryPlan.group_key` — same
 table version, same mechanism, same clipping bounds — and wait up to
 ``batch_window_ms`` for company.  A flushed group executes on the
 worker pool as *one* vectorized noisy release: the data-plane work
-(scan, clip, bin counts, candidate utilities) happens once per group,
-then each member draws its own noise from its own deterministic stream
-and is charged its own two-phase budget reservation.
+(scan, clip, bin counts, candidate utilities) happens once per group in
+:func:`~repro.confidentiality.queries.group_stats`, then each member
+draws its own noise through
+:func:`~repro.confidentiality.queries.member_release` — the same two
+kernels every ``dp_*`` function runs — from its own deterministic
+stream, and is charged its own two-phase budget reservation.
 
 Determinism contract: a released answer is a pure function of the
 server seed, the plan fingerprint, and the per-fingerprint release
 ordinal — *never* of batching, worker count, or arrival interleaving.
 That is what makes batched and unbatched serving byte-identical under a
 fixed seed (pinned by ``tests/test_serve_async.py``).
-
-The per-member noise kernels replicate the audited ``dp_*``
-implementations draw for draw (clipping, sensitivity, post-processing,
-and rng call order are identical), which the tests pin by running both
-against the same seeded generator.
 
 Exit-path invariant: every member that takes an admission slot releases
 it through exactly one resolution call, on every path — cache replay,
@@ -35,15 +33,10 @@ import asyncio
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.confidentiality.mechanisms import (
-    exponential_mechanism,
-    laplace_mechanism,
-)
+from repro.confidentiality.queries import group_stats, member_release
 from repro.exceptions import DataError, PrivacyBudgetError, ReproError
 from repro.serve.admission import REASON_OVERLOAD
 from repro.serve.protocol import (
@@ -62,92 +55,6 @@ from repro.serve.protocol import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.planner import QueryPlan
     from repro.serve.server import QueryServer
-
-#: Quantile candidate-grid size — must match ``dp_quantile``'s default.
-N_QUANTILE_CANDIDATES = 100
-
-
-# -- vectorized release kernels ---------------------------------------------
-#
-# ``group_stats`` computes everything the data plane knows once per
-# coalesced group; ``member_release`` turns those shared statistics into
-# one member's noisy answer.  Together they are semantically identical,
-# draw for draw, to the audited ``dp_*`` query functions (pinned by
-# tests); the vectorization win is that the O(n_rows) work runs once
-# for the whole group instead of once per query.
-
-def group_stats(plan: "QueryPlan", table) -> dict:
-    """The shared (noise-free) statistics behind every member's release."""
-    kind = plan.kind
-    if kind == "count":
-        return {"n": table.n_rows}
-    values = np.asarray(table.column(plan.column), dtype=np.float64) \
-        if kind != "histogram" else np.asarray(table.column(plan.column))
-    if kind == "histogram":
-        # Parallel composition: one record lands in one bin, so counts
-        # are shared and each member pays a single ε for the whole
-        # histogram (bins arrive sorted and deduplicated by the planner).
-        return {"counts": {b: float(np.sum(values == b)) for b in plan.bins}}
-    if kind == "mean" and len(values) == 0:
-        raise DataError("cannot take the mean of no values")
-    clipped = np.clip(values, plan.lower, plan.upper)
-    if kind == "sum":
-        return {"total": float(clipped.sum()),
-                "sensitivity": max(abs(plan.lower), abs(plan.upper))}
-    if kind == "mean":
-        return {"total": float(clipped.sum()),
-                "sensitivity": max(abs(plan.lower), abs(plan.upper)),
-                "n": len(values)}
-    if kind == "quantile":
-        candidates = np.linspace(
-            plan.lower, plan.upper, N_QUANTILE_CANDIDATES
-        ).tolist()
-        target_rank = plan.q * len(clipped)
-        utilities = [
-            -abs(float(np.sum(clipped <= candidate)) - target_rank)
-            for candidate in candidates
-        ]
-        return {"candidates": candidates, "utilities": utilities}
-    raise DataError(f"unplannable kind {kind!r}")  # unreachable
-
-
-def member_release(stats: dict, plan: "QueryPlan",
-                   rng: np.random.Generator) -> float | dict:
-    """One member's noisy answer from the group's shared statistics.
-
-    Replicates the corresponding ``dp_*`` function's noise draws exactly
-    (same mechanism calls, same order, same post-processing), so a
-    batch member's answer is byte-identical to a serial execution with
-    the same generator.
-    """
-    kind, epsilon = plan.kind, plan.epsilon
-    if kind == "count":
-        return max(0.0, laplace_mechanism(float(stats["n"]), 1.0,
-                                          epsilon, rng))
-    if kind == "sum":
-        return laplace_mechanism(stats["total"], stats["sensitivity"],
-                                 epsilon, rng)
-    if kind == "mean":
-        half = epsilon / 2.0
-        noisy_sum = laplace_mechanism(stats["total"], stats["sensitivity"],
-                                      half, rng)
-        noisy_count = max(0.0, laplace_mechanism(float(stats["n"]), 1.0,
-                                                 half, rng))
-        if noisy_count < 1.0:
-            noisy_count = 1.0
-        return float(np.clip(noisy_sum / noisy_count,
-                             plan.lower, plan.upper))
-    if kind == "quantile":
-        return float(exponential_mechanism(
-            stats["candidates"], stats["utilities"],
-            sensitivity=1.0, epsilon=epsilon, rng=rng,
-        ))
-    if kind == "histogram":
-        return {
-            bin_value: max(0.0, laplace_mechanism(count, 1.0, epsilon, rng))
-            for bin_value, count in stats["counts"].items()
-        }
-    raise DataError(f"unplannable kind {kind!r}")  # unreachable
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -433,7 +340,7 @@ class Dispatcher:
             return
 
         try:
-            values = server._execute_batch([m.plan for m, _ in payers])
+            values = self._execute_batch([m.plan for m, _ in payers])
         except Exception as error:
             status, detail = (
                 (STATUS_REJECTED_INVALID, str(error))
@@ -471,6 +378,24 @@ class Dispatcher:
                 fingerprint=plan.fingerprint,
                 request_id=member.request.request_id,
             ), value=value)
+
+    def _execute_batch(self, plans: list["QueryPlan"]) -> list:
+        """One coalesced group's answers: shared statistics, own noise.
+
+        The plans share a group key, so the statistics are computed once;
+        each member draws from its own deterministic stream.  Nothing is
+        memoised here — *answer* replay is the answer cache's job.
+        """
+        server = self._server
+        rngs = [server._release_rng(plan.fingerprint) for plan in plans]
+        if self._config.backend_latency_s:
+            time.sleep(self._config.backend_latency_s)
+        template = plans[0]
+        table = server.planner.table(template.table)
+        stats = group_stats(template, table.n_rows if template.kind == "count"
+                            else table.column(template.column))
+        return [member_release(stats, plan, rng)
+                for plan, rng in zip(plans, rngs)]
 
     def _finish_release(self, member: _Member, result: QueryResult,
                         value: object = None) -> None:

@@ -3,7 +3,10 @@
 The planner owns the table registry and turns a raw
 :class:`~repro.serve.protocol.QueryRequest` into an executable
 :class:`QueryPlan` — or raises :class:`~repro.exceptions.DataError` with
-a message the server converts into a structured rejection.
+a message the server converts into a structured rejection.  The planner
+checks the request's shape against the registered schema; what makes a
+release valid (ε, finite bounds, q, bins) is
+:class:`~repro.confidentiality.queries.DPQuery`'s to decide.
 
 Canonicalization matters because the answer cache is keyed on the plan's
 **fingerprint**: two requests that mean the same release (same table
@@ -13,10 +16,9 @@ the registered table's version is folded in (re-registering a table
 invalidates every cached answer computed from the old rows — replaying
 those would be answering about data that no longer exists).
 
-A served query *is* a one-node dataflow plan: the planner represents it
-as a :class:`repro.engine.Node` whose ``key_parts`` are the canonical
-query identity, and the plan's fingerprint is exactly that node's cache
-key.  The hashing bottoms out in
+A plan's fingerprint is the cache key of a representation-only
+:class:`repro.engine.Node` whose ``key_parts`` are the canonical query
+identity.  The hashing bottoms out in
 :func:`repro.store.fingerprint.fingerprint` — the planner's historical
 private ``_fingerprint``, promoted to the system-wide canonicalisation
 shared with the artifact store.  The digests are unchanged through both
@@ -30,41 +32,27 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.confidentiality.queries import BOUNDED_KINDS, DPQuery
 from repro.data.schema import ColumnType
 from repro.data.table import Table
 from repro.engine import Node
 from repro.exceptions import DataError
 from repro.serve.protocol import KINDS, QueryRequest
 
-#: Kinds that aggregate a numeric column under declared bounds.
-_BOUNDED_KINDS = ("sum", "mean", "quantile")
 
+@dataclass(frozen=True, kw_only=True)
+class QueryPlan(DPQuery):
+    """A validated, normalized, executable query.
 
-@dataclass(frozen=True)
-class QueryPlan:
-    """A validated, normalized, executable query."""
+    The release's :class:`~repro.confidentiality.queries.DPQuery` plus
+    where its data lives and its fingerprint.
+    """
 
-    kind: str
     table: str
     table_version: int
-    epsilon: float
     delta: float
     column: str | None
-    lower: float | None
-    upper: float | None
-    q: float | None
-    bins: tuple
     fingerprint: str
-
-    def key_parts(self) -> dict:
-        """The canonical identity of this release, as engine key parts."""
-        return {
-            "table": self.table, "version": self.table_version,
-            "kind": self.kind, "column": self.column,
-            "epsilon": self.epsilon, "delta": self.delta,
-            "lower": self.lower, "upper": self.upper, "q": self.q,
-            "bins": self.bins,
-        }
 
     @property
     def group_key(self) -> tuple:
@@ -188,11 +176,7 @@ class QueryPlanner:
         kind = str(request.kind).strip().lower()
         if kind not in KINDS:
             raise DataError(f"unknown query kind {request.kind!r}; one of {KINDS}")
-        if not str(request.tenant).strip():
-            raise DataError("tenant must be non-empty")
         epsilon = float(request.epsilon)
-        if not epsilon > 0:
-            raise DataError(f"epsilon must be positive, got {request.epsilon}")
         delta = float(request.delta or 0.0)
         if delta < 0:
             raise DataError(f"delta must be non-negative, got {request.delta}")
@@ -213,7 +197,7 @@ class QueryPlanner:
 
         lower = upper = q = None
         bins: tuple = ()
-        if kind in _BOUNDED_KINDS:
+        if kind in BOUNDED_KINDS:
             if spec.ctype is not ColumnType.NUMERIC:
                 raise DataError(f"{kind} needs a numeric column, {column!r} is not")
             if request.lower is None or request.upper is None:
@@ -221,14 +205,10 @@ class QueryPlanner:
                     f"{kind} queries need declared lower/upper value bounds"
                 )
             lower, upper = float(request.lower), float(request.upper)
-            if not lower < upper:
-                raise DataError(f"need lower < upper, got [{lower}, {upper}]")
         if kind == "quantile":
             if request.q is None:
                 raise DataError("quantile queries need q in [0, 1]")
             q = float(request.q)
-            if not 0.0 <= q <= 1.0:
-                raise DataError(f"q must be in [0, 1], got {request.q}")
         if kind == "histogram":
             if not request.bins:
                 raise DataError("histogram queries need explicit bins")

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
+from repro.confidentiality.queries import KINDS
 from repro.exceptions import DataError
-
-#: Query kinds the planner understands.
-KINDS = ("count", "sum", "mean", "quantile", "histogram")
 
 #: The protocol version this server speaks (and the implied version of
 #: any wire record that does not carry one).

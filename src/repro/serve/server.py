@@ -25,11 +25,11 @@ Architecture: submissions land on an asyncio dispatch loop
 (:class:`~repro.serve.batching.Dispatcher`, one daemon thread) that
 admits, plans, answers cache hits inline, and coalesces cache misses by
 :attr:`~repro.serve.planner.QueryPlan.group_key`; flushed groups
-execute on a bounded ``ThreadPoolExecutor`` as one-node engine plans
-whose data-plane statistics are computed once per group
-(:func:`~repro.serve.batching.group_stats`) while each member draws its
-own noise (:func:`~repro.serve.batching.member_release`, replicating
-the audited ``dp_*`` semantics draw for draw).  Backpressure is
+execute on a bounded ``ThreadPoolExecutor``, which computes each
+group's data-plane statistics once
+(:func:`~repro.confidentiality.queries.group_stats`) while each member
+draws its own noise (:func:`~repro.confidentiality.queries.member_release`)
+— the two kernels every ``dp_*`` function runs.  Backpressure is
 explicit: a bounded outstanding-request queue sheds at submission and
 per-request deadlines shed at execution, both with
 ``STATUS_REJECTED_OVERLOAD`` and zero ε.
@@ -56,15 +56,13 @@ from repro import obs
 from repro.obs.metrics import Histogram
 from repro.confidentiality.accountant import PrivacyAccountant
 from repro.data.table import Table
-from repro.engine import Executor as PlanExecutor
-from repro.engine import Node, Plan
 from repro.exceptions import DataError
 from repro.serve.admission import AdmissionController
-from repro.serve.batching import Dispatcher, _Member, group_stats, member_release
+from repro.serve.batching import Dispatcher, _Member
 from repro.serve.budget import BudgetManager
 from repro.serve.cache import AnswerCache
 from repro.serve.config import ServeConfig
-from repro.serve.planner import QueryPlan, QueryPlanner
+from repro.serve.planner import QueryPlanner
 from repro.serve.protocol import (
     STATUS_REJECTED_OVERLOAD,
     QueryRequest,
@@ -143,12 +141,6 @@ class QueryServer:
         self._pool = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="repro-serve"
         )
-        # Release groups run as one-node engine plans; observe=False
-        # because the server records its own serve.query spans
-        # (concurrent, post-timed), and node-level spans would
-        # double-count.
-        self._engine = PlanExecutor(n_jobs=1, backend="serial",
-                                    name="serve", observe=False)
         self._closed = False
         # Deterministic releases: each execution's generator is keyed by
         # (server seed, per-fingerprint release ordinal, fingerprint
@@ -304,36 +296,6 @@ class QueryServer:
                 raise
 
     # -- execution ----------------------------------------------------------
-
-    def _execute_batch(self, plans: list[QueryPlan]) -> list:
-        """Run one coalesced release group as a one-node engine plan.
-
-        Every plan in the group shares a
-        :attr:`~repro.serve.planner.QueryPlan.group_key`, so the
-        data-plane statistics are computed once; each member then draws
-        its own noise from its own deterministic stream.  The node's
-        ``key_parts`` are the group's canonical identity and the node is
-        uncacheable — every execution must draw fresh noise (*answer*
-        replay is the :class:`AnswerCache`'s job, governed by budget
-        semantics).
-        """
-        template = plans[0]
-        rngs = [self._release_rng(plan.fingerprint) for plan in plans]
-
-        def compute(inputs, rng):
-            if self.config.backend_latency_s:
-                time.sleep(self.config.backend_latency_s)
-            table = self.planner.table(template.table)
-            stats = group_stats(template, table)
-            return [member_release(stats, plan, member_rng)
-                    for plan, member_rng in zip(plans, rngs)]
-
-        node = Node(
-            f"query:{template.kind}", compute,
-            key_parts=template.key_parts(), cacheable=False,
-            label=f"query:{template.kind}[{len(plans)}]",
-        )
-        return self._engine.run(Plan([node])).output
 
     def _release_rng(self, fingerprint: str) -> np.random.Generator:
         """The deterministic noise stream for one release execution.

@@ -243,7 +243,7 @@ def test_dp_mean_charges_full_epsilon(rng):
     accountant = PrivacyAccountant(1.0)
     dp_mean(np.ones(100), 0.0, 2.0, 1.0, accountant, rng)
     assert accountant.epsilon_spent == pytest.approx(1.0)
-    assert len(accountant.ledger) == 2  # sum + count
+    assert len(accountant.ledger) == 1  # one release, one entry
 
 
 def test_dp_sum_clips_outliers(rng):
@@ -297,6 +297,36 @@ def test_queries_reject_nonpositive_epsilon_uniformly(rng, epsilon):
     for call in calls:
         with pytest.raises(DataError, match="epsilon must be positive"):
             call()
+    assert accountant.epsilon_spent == 0.0
+    assert len(accountant.ledger) == 0
+
+
+@pytest.mark.parametrize("lower, upper", [
+    (5.0, 5.0), (5.0, 0.0), (0.0, np.inf), (-np.inf, 5.0), (np.nan, 5.0),
+])
+def test_queries_reject_bad_bounds_before_charging(rng, lower, upper):
+    # Inverted, empty or infinite bounds have no finite sensitivity: the
+    # query is refused before any budget is charged.
+    accountant = PrivacyAccountant(1.0)
+    values = np.array([1.0, 2.0, 3.0])
+    calls = [
+        lambda: dp_sum(values, lower, upper, 0.5, accountant, rng),
+        lambda: dp_mean(values, lower, upper, 0.5, accountant, rng),
+        lambda: dp_quantile(values, 0.5, lower, upper, 0.5, accountant, rng),
+    ]
+    for call in calls:
+        with pytest.raises(DataError, match="need finite lower < upper"):
+            call()
+    assert accountant.epsilon_spent == 0.0
+    assert len(accountant.ledger) == 0
+
+
+def test_dp_mean_over_budget_charges_nothing(rng):
+    # The mean's halves are one charge: a budget that covers only half
+    # of ε refuses the whole query.
+    accountant = PrivacyAccountant(0.6)
+    with pytest.raises(PrivacyBudgetError):
+        dp_mean(np.ones(10), 0.0, 2.0, 1.0, accountant, rng)
     assert accountant.epsilon_spent == 0.0
     assert len(accountant.ledger) == 0
 

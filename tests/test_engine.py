@@ -307,12 +307,6 @@ def test_cache_summary_empty_for_pre_engine_telemetry():
     assert obs.render_cache_summary(telemetry.to_dicts()) == ""
 
 
-def test_observe_false_silences_node_spans():
-    telemetry = obs.configure()
-    Executor(observe=False).run(Plan([Node("quiet", lambda i, r: 1)]))
-    assert telemetry.tracer.spans == []
-
-
 def test_annotate_adds_result_derived_attributes():
     telemetry = obs.configure()
     plan = Plan([

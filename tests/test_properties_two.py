@@ -10,6 +10,11 @@ from repro.confidentiality.mechanisms import (
     randomized_response,
     randomized_response_estimate,
 )
+from repro.confidentiality.queries import (
+    N_QUANTILE_CANDIDATES,
+    DPQuery,
+    group_stats,
+)
 from repro.confidentiality.risk import (
     assess_risk,
     qi_class_counts,
@@ -92,6 +97,36 @@ def test_randomized_response_estimator_unbiased(seed, epsilon, rate):
     # grows as epsilon shrinks.
     slack = 0.05 + 0.1 / epsilon
     assert abs(estimate - truth.mean()) < slack
+
+
+# -- DP quantile utilities ---------------------------------------------------------------
+
+@given(
+    arrays(np.float64, st.integers(0, 80), elements=st.one_of(
+        st.integers(-80, 180).map(float),
+        st.floats(-150, 150, allow_nan=False),
+        st.sampled_from([np.nan, -0.0, 0.0]),
+    )),
+    st.one_of(st.integers(-60, 60).map(float), st.floats(-60, 60)),
+    st.one_of(st.just(99.0), st.floats(1e-3, 500)),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_quantile_utilities_match_the_rank_scan(values, lower, width, q):
+    # Reference: one full pass per candidate.  A width of 99 puts the
+    # grid on integers, so integer values tie with candidates exactly.
+    query = DPQuery(kind="quantile", epsilon=1.0, lower=lower,
+                    upper=lower + width, q=q)
+    clipped = np.clip(values, query.lower, query.upper)
+    candidates = np.linspace(query.lower, query.upper,
+                             N_QUANTILE_CANDIDATES).tolist()
+    target_rank = q * len(clipped)
+    scan = [-abs(float(np.sum(clipped <= candidate)) - target_rank)
+            for candidate in candidates]
+    stats = group_stats(query, values)
+    assert stats["candidates"] == candidates
+    assert (np.asarray(stats["utilities"], dtype=np.float64).tobytes()
+            == np.asarray(scan, dtype=np.float64).tobytes())
 
 
 # -- process model invariants -----------------------------------------------------------

@@ -63,6 +63,10 @@ def test_planner_validates(served_table):
         QueryRequest(tenant="a", kind="mean", column="income", epsilon=0.1),
         QueryRequest(tenant="a", kind="mean", column="income",
                      lower=5, upper=5, epsilon=0.1),
+        QueryRequest(tenant="a", kind="sum", column="income",
+                     lower=0, upper=float("inf"), epsilon=0.1),
+        QueryRequest(tenant="a", kind="quantile", column="income",
+                     lower=float("-inf"), upper=1, q=0.5, epsilon=0.1),
         QueryRequest(tenant="a", kind="mean", column="city",
                      lower=0, upper=1, epsilon=0.1),  # categorical
         QueryRequest(tenant="a", kind="quantile", column="income",
@@ -289,6 +293,10 @@ def test_invalid_and_unknown_are_structured(served_table):
     assert "ghost" in unknown_tenant.detail
     malformed = server.query({"kind": "count"})  # missing tenant/epsilon
     assert malformed.status == STATUS_REJECTED_INVALID
+    unbounded = server.query(mean_request(kind="sum", upper=float("inf")))
+    assert unbounded.status == STATUS_REJECTED_INVALID
+    assert unbounded.epsilon_charged == 0.0
+    assert server.budget.accountant("a").epsilon_spent == 0.0
     server.close()
 
 

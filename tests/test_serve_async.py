@@ -6,7 +6,7 @@ The high-order bits, in order of importance:
   with every combination of batch window {off, 1 ms, 10 ms} and worker
   count {1, 4} yields byte-identical values and identical per-tenant
   ε-ledgers under a fixed seed.
-* **The vectorized release kernels are the ``dp_*`` functions** — same
+* **A planned request releases what its ``dp_*`` call releases** — same
   generator in, same noisy answer out, for all five query kinds.
 * **Backpressure is structured** — bounded-queue shedding and deadline
   shedding reject with ``STATUS_REJECTED_OVERLOAD``, charge zero ε, and
@@ -36,7 +36,9 @@ from repro.data.table import Table
 from repro.exceptions import DataError
 from repro.serve import (
     PROTOCOL_VERSION,
+    STATUS_ERROR,
     STATUS_OK,
+    STATUS_REJECTED_INVALID,
     STATUS_REJECTED_OVERLOAD,
     STATUS_REJECTED_VERSION,
     AdmissionController,
@@ -46,6 +48,7 @@ from repro.serve import (
     QueryServer,
     ServeConfig,
 )
+from repro.serve import batching
 from repro.serve.batching import group_stats, member_release
 from repro.serve.loadgen import bursts, zipf_workload
 
@@ -153,7 +156,7 @@ def test_zipf_workload_deterministic(table):
     assert sum(len(c) for c in chunks) == len(first)
 
 
-# -- the vectorized kernels replicate dp_* draw for draw -------------------
+# -- a planned request releases what the matching dp_* call releases -------
 
 
 def _plan(server, **fields):
@@ -186,7 +189,8 @@ def test_group_kernels_match_dp_functions(table):
     ]
     for fields, reference in cases:
         plan = _plan(server, **fields)
-        stats = group_stats(plan, table)
+        stats = group_stats(plan, table.n_rows if plan.kind == "count"
+                            else table.column(plan.column))
         mine = member_release(stats, plan, np.random.default_rng(99))
         expected = reference(np.random.default_rng(99))
         assert mine == expected, fields["kind"]
@@ -294,6 +298,70 @@ def test_inflight_returns_to_zero_on_every_exit_path(table):
         )
     assert results[0].ok and not results[0].cached
     assert results[1].ok and results[1].cached
+    assert server.stats()["outstanding"] == 0
+
+
+def _coalesced_means(table_name="t"):
+    """Three requests with one group key and distinct fingerprints."""
+    return [QueryRequest(tenant="a", kind="mean", table=table_name,
+                         column="income", lower=0.0, upper=100.0,
+                         epsilon=0.01 * (i + 1))
+            for i in range(3)]
+
+
+def _windowed_server(table, name="t"):
+    admission = AdmissionController(max_inflight=8)
+    config = ServeConfig(workers=1, seed=7, batch_window_ms=50.0,
+                         default_epsilon_budget=1.0)
+    server = QueryServer(config, admission=admission)
+    server.register_table(name, table)
+    return server, admission
+
+
+def test_group_stats_error_after_reservation_charges_nothing(table):
+    # A zero-row table has no mean: the group's statistics fail after
+    # every member reserved its ε.
+    server, admission = _windowed_server(table.take([]), name="empty")
+    with server:
+        results = server.submit_batch(_coalesced_means("empty"))
+        server.drain()
+        assert admission.inflight == 0
+    assert server.stats()["batching"]["largest_batch"] == 3
+    assert [r.status for r in results] == [STATUS_REJECTED_INVALID] * 3
+    assert all("no values" in r.detail for r in results)
+    assert all(r.epsilon_charged == 0.0 for r in results)
+    accountant = server.budget.accountant("a")
+    assert accountant.epsilon_spent == 0.0
+    assert len(accountant.ledger) == 0
+    assert server.stats()["outstanding"] == 0
+
+
+def test_member_release_error_rolls_back_the_whole_group(table, monkeypatch):
+    real_release = batching.member_release
+    calls = []
+
+    def fail_on_second_member(stats, plan, rng):
+        calls.append(plan.fingerprint)
+        if len(calls) == 2:
+            raise RuntimeError("injected release fault")
+        return real_release(stats, plan, rng)
+
+    server, admission = _windowed_server(table)
+    with server:
+        with monkeypatch.context() as patch:
+            patch.setattr(batching, "member_release", fail_on_second_member)
+            failed = server.submit_batch(_coalesced_means())
+        retried = server.submit_batch(_coalesced_means())
+        server.drain()
+        assert admission.inflight == 0
+    assert len(calls) == 2
+    assert [r.status for r in failed] == [STATUS_ERROR] * 3
+    assert all("injected release fault" in r.detail for r in failed)
+    assert all(r.epsilon_charged == 0.0 for r in failed)
+    assert all(r.ok and not r.cached for r in retried)
+    accountant = server.budget.accountant("a")
+    assert accountant.epsilon_spent == pytest.approx(0.06)  # the retry only
+    assert len(accountant.ledger) == 3
     assert server.stats()["outstanding"] == 0
 
 
