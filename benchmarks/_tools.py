@@ -4,43 +4,34 @@ Each bench regenerates one table/figure of the reproduction (see
 DESIGN.md's experiment index).  The *printed table* is the artefact; the
 pytest-benchmark timing wraps the experiment's core computation so
 ``pytest benchmarks/ --benchmark-only`` both reproduces the numbers and
-times the system.  Run with ``-s`` to see the tables inline; they are
-also appended to ``benchmarks/results.txt``, a local log that git
-ignores (``EXPERIMENTS.md`` and the ``BENCH_*.json`` trajectories are the
-committed record).
+times the system.  Run with ``-s`` to see the tables inline
+(``EXPERIMENTS.md`` is the committed record).
 
 Every bench additionally runs under a wall-clock :mod:`repro.obs`
 telemetry session appended to ``telemetry.jsonl`` (location overridable
 via ``REPRO_TELEMETRY_PATH``, mirroring ``REPRO_N_JOBS`` /
 ``REPRO_STORE``).  Sessions are delimited by marker records and the
 file is rotated down to the last :data:`MAX_TELEMETRY_SESSIONS` on each
-append, so it never grows without bound.  Named ``run_once`` calls also
-append a record to the bench's ``BENCH_<name>.json`` perf trajectory —
-see :mod:`repro.bench`.
+append, so it never grows without bound.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Sequence
 
 from repro import obs
 from repro.bench import (
     TELEMETRY_PATH_ENV,
-    BenchRecord,
-    append_record,
     format_table,
     rotate_jsonl_sessions,
     session_marker,
-    trajectory_path,
 )
 
-__all__ = ["RESULTS_PATH", "TELEMETRY_PATH", "SEED", "MAX_TELEMETRY_SESSIONS",
+__all__ = ["TELEMETRY_PATH", "SEED", "MAX_TELEMETRY_SESSIONS",
            "format_table", "emit", "telemetry_path", "append_session",
            "run_once"]
 
 _HERE = os.path.dirname(__file__)
-RESULTS_PATH = os.path.join(_HERE, "results.txt")
 #: Import-time default; :func:`telemetry_path` re-reads the env so tests
 #: (and CI) can redirect per invocation.
 TELEMETRY_PATH = os.environ.get(
@@ -60,10 +51,8 @@ def telemetry_path() -> str:
 
 
 def emit(text: str) -> None:
-    """Print a table and append it to the results file."""
+    """Print a table after a blank line."""
     print("\n" + text)
-    with open(RESULTS_PATH, "a") as handle:
-        handle.write(text + "\n\n")
 
 
 def append_session(telemetry, label: str) -> None:
@@ -79,26 +68,15 @@ def run_once(benchmark, fn, name: str | None = None):
 
     The experiments are deterministic and heavy; one round gives the
     timing without multiplying the work.  The call runs inside a
-    wall-clock telemetry session appended to :func:`telemetry_path`.
-    When ``name`` is given, the measured wall time is also appended to
-    ``BENCH_<name>.json`` next to ``telemetry.jsonl`` — a per-experiment
-    perf trajectory alongside the suite's (``python -m repro bench``).
+    wall-clock telemetry session appended to :func:`telemetry_path`,
+    labelled ``name`` when given.
     """
     label = getattr(fn, "__qualname__", type(fn).__name__)
     telemetry = obs.configure(clock=obs.WallClock())
     try:
-        with telemetry.tracer.span(f"bench:{label}") as span:
+        with telemetry.tracer.span(f"bench:{label}"):
             result = benchmark.pedantic(fn, rounds=1, iterations=1)
     finally:
         append_session(telemetry, name or label)
         obs.reset()
-    if name is not None:
-        record = BenchRecord(
-            name=name, mode="experiment", runs=1, warmup=0,
-            metrics={"wall_s_median": round(span.duration, 6),
-                     "wall_s_min": round(span.duration, 6)},
-        ).stamp(cwd=_HERE)
-        append_record(
-            trajectory_path(name, os.path.dirname(telemetry_path())), record
-        )
     return result

@@ -157,10 +157,7 @@ def main(argv=None) -> int:
          "identical"],
         rows,
     )
-    if args.smoke:
-        print("\n" + table)  # CI check only: keep results.txt for full runs
-    else:
-        emit(table)
+    emit(table)
     if not all_identical:
         print("DETERMINISM VIOLATION: parallel output differs from serial",
               file=sys.stderr)

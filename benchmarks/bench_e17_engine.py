@@ -151,10 +151,7 @@ def main(argv=None) -> int:
         ["audit", "wall_s", "speedup_vs_sequential", "identical"],
         rows,
     )
-    if args.smoke:
-        print("\n" + table)  # CI check only: keep results.txt for full runs
-    else:
-        emit(table)
+    emit(table)
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0

@@ -13,9 +13,9 @@ Python dict keyed on the join column).  Three checks:
 * **Semantic equality** — both implementations must produce identical
   values (the dict merge is the executable specification).
 
-Every run appends a ``mode="experiment"`` record to
-``BENCH_relational.json`` via :func:`repro.bench.run_once` — the same
-trajectory file the suite's smoke/full gate uses, kept separate by mode.
+The printed table is the record; ``BENCH_relational.json`` at the
+repository root is frozen history from before ``python -m repro bench``
+became the front door of ``perf/``.
 
 Run directly (``python benchmarks/bench_e18_relational.py``); pass
 ``--smoke`` for the quick CI-sized variant exercised on every push.
@@ -34,7 +34,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
 from benchmarks._tools import SEED, emit, format_table  # noqa: E402
-from repro.bench import run_once  # noqa: E402
 from repro.data.synth import LendingRelationalGenerator  # noqa: E402
 from repro.relational import group_aggregate, inner_join  # noqa: E402
 
@@ -149,21 +148,6 @@ def main(argv=None) -> int:
             f"over the dict merge (floor {MIN_JOIN_SPEEDUP}x)"
         )
 
-    run_once(
-        "relational",
-        lambda: group_aggregate(
-            inner_join(applications, applicants, "applicant_id"),
-            "group", {"n": "count", "approval": ("approved", "mean")},
-        ),
-        runs=repeats, warmup=1,
-        directory=os.path.join(os.path.dirname(__file__), os.pardir),
-        metrics={
-            "join_speedup_vs_dict": round(join_speedup, 3),
-            "aggregate_speedup_vs_dict": round(agg_speedup, 3),
-            "rows_joined": int(joined.n_rows),
-        },
-    )
-
     title = (
         f"E18{' (smoke)' if args.smoke else ''}: relational kernels vs "
         f"hand-rolled dict merge ({applications.n_rows} applications x "
@@ -181,10 +165,7 @@ def main(argv=None) -> int:
                  f.startswith("AGGREGATE") for f in failures) else "NO"],
         ],
     )
-    if args.smoke:
-        print("\n" + table)  # CI check only: keep results.txt for full runs
-    else:
-        emit(table)
+    emit(table)
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0

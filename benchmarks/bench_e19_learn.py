@@ -14,9 +14,9 @@ implementations carried along as executable baselines:
   per-layer allocating update loop.  Fitted weights, biases, and
   predictions must be byte-identical.
 
-Every run appends a ``mode="experiment"`` record to ``BENCH_learn.json``
-via :func:`repro.bench.run_once` — the same trajectory file the suite's
-smoke/full gate uses, kept separate by mode.
+The printed table is the record; ``BENCH_learn.json`` at the repository
+root is frozen history from before ``python -m repro bench`` became the
+front door of ``perf/``.
 
 Run directly (``python benchmarks/bench_e19_learn.py``); pass
 ``--smoke`` for the quick CI-sized variant, plus ``--check`` to enforce
@@ -36,7 +36,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
 from benchmarks._tools import SEED, emit, format_table  # noqa: E402
-from repro.bench import run_once  # noqa: E402
 from repro.learn.mlp import MLPClassifier  # noqa: E402
 from repro.learn.neighbors import (  # noqa: E402
     nearest_indices,
@@ -315,22 +314,6 @@ def main(argv=None) -> int:
                 f"over the pre-optimisation baseline (floor {floor}x)"
             )
 
-    run_once(
-        "learn",
-        lambda: (
-            DecisionTreeClassifier(max_depth=8, min_samples_leaf=5).fit(X, y),
-            nearest_indices(queries, knn_pool, k),
-        ),
-        runs=repeats, warmup=1,
-        directory=os.path.join(os.path.dirname(__file__), os.pardir),
-        metrics={
-            "tree_fit_speedup": round(speedups["tree_fit"], 3),
-            "knn_speedup": round(speedups["knn"], 3),
-            "mlp_epoch_speedup": round(speedups["mlp_epoch"], 3),
-            "n_train": n_train,
-        },
-    )
-
     title = (
         f"E19{' (smoke)' if args.smoke else ''}: hot learn kernels "
         f"vs pre-optimisation baselines ({n_train} train rows)"
@@ -349,10 +332,7 @@ def main(argv=None) -> int:
              "NO" if any(f.startswith("MLP") for f in failures) else "yes"],
         ],
     )
-    if args.smoke:
-        print("\n" + table_text)  # CI check only; results.txt is for full runs
-    else:
-        emit(table_text)
+    emit(table_text)
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0

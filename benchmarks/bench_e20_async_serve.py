@@ -13,10 +13,10 @@ ledgers, bounded-queue backpressure — with the
   workers) produces byte-identical values and identical per-tenant
   ε-ledgers under a fixed seed.
 
-Every run appends a ``mode="experiment"`` record to
-``BENCH_serve_load.json`` via :func:`repro.bench.run_once` — the same
-trajectory file the suite's smoke/full ``--check`` gate uses, kept
-separate by mode.
+The printed table (and ``--out``) is the record; ``BENCH_serve_load.json``
+at the repository root is frozen history from before
+``python -m repro bench`` became the front door of ``perf/``, whose
+``serve_fresh`` and ``serve_cached`` workloads now track serving.
 
 Run directly (``python benchmarks/bench_e20_async_serve.py``); pass
 ``--smoke`` for the quick CI-sized variant, ``--check`` to enforce the
@@ -38,7 +38,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
 from benchmarks._tools import SEED, emit, format_table  # noqa: E402
-from repro.bench import run_once  # noqa: E402
 from repro.data.synth import CensusIncomeGenerator  # noqa: E402
 from repro.serve import QueryServer, ServeConfig  # noqa: E402
 from repro.serve.loadgen import (  # noqa: E402
@@ -163,22 +162,6 @@ def main(argv=None) -> int:
                 f"the {floor:.0f} floor"
             )
 
-    run_once(
-        "serve_load",
-        lambda: _serve(table, requests, window_ms=2.0, workers=2,
-                       mean_burst=mean_burst)[0],
-        runs=2 if args.smoke else 3, warmup=1,
-        directory=os.path.join(os.path.dirname(__file__), os.pardir),
-        metrics={
-            "qps": round(report.qps, 1),
-            "queries": report.queries,
-            "latency_ms": {key: round(value, 3)
-                           for key, value in report.latency_ms.items()},
-            "coalesced": report.batching["coalesced"],
-            "equivalent": not failures,
-        },
-    )
-
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(), handle, indent=1, sort_keys=True)
@@ -202,10 +185,7 @@ def main(argv=None) -> int:
             *equivalence_rows,
         ],
     )
-    if args.smoke:
-        print("\n" + table_text)  # CI check only; results.txt is for full runs
-    else:
-        emit(table_text)
+    emit(table_text)
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0

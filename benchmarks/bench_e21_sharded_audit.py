@@ -25,9 +25,10 @@ serial one's by construction.  This bench measures three promises:
 
 Run directly (``python benchmarks/bench_e21_sharded_audit.py``); pass
 ``--smoke`` for the quick CI-sized variant exercised on every push.
-The curated-suite twin (``python -m repro bench sharded_audit``)
-tracks the cold 4-shard audit in ``BENCH_sharded_audit.json`` behind
-the ``--check`` regression gate.
+Sharded audit speed is tracked by ``perf/``'s ``audit_incremental``
+workload (16 shards, process backend) through ``python -m repro bench``;
+``BENCH_sharded_audit.json`` is frozen history of the deleted in-process
+suite.
 """
 
 from __future__ import annotations
@@ -248,12 +249,8 @@ def main(argv=None) -> int:
         ["probe", "rss_kb", "wall_s", "ratio"],
         rss_rows,
     )
-    if args.smoke:
-        print("\n" + table)
-        print("\n" + rss_table)
-    else:
-        emit(table)
-        emit(rss_table)
+    emit(table)
+    emit(rss_table)
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0

@@ -1,53 +1,33 @@
-"""``repro.bench`` — benchmark harness + machine-readable perf trajectory.
+"""``repro.bench`` — the perf trajectory and the front door of ``perf/``.
 
 The observability counterpart to :mod:`repro.obs`: where ``obs`` records
 *one run's* spans and metrics, ``bench`` records how the system's speed
-moves *across commits*.  Four pieces:
+moves *across commits*.  Three pieces:
 
-* :class:`BenchHarness` (:mod:`repro.bench.harness`) — warmup + N
-  measured runs of a callable; median/p90 wall, CPU, peak RSS, cache
-  counter deltas.
-* :mod:`repro.bench.trajectory` — ``BENCH_<name>.json`` append-per-run
-  history files (commit, timestamp, environment fingerprint, metrics)
-  plus session-capped rotation for the benches' ``telemetry.jsonl``.
-* :func:`compare` (:mod:`repro.bench.compare`) — the regression gate:
-  >20% slower than the latest same-mode baseline (and past an absolute
-  noise floor) fails.
-* :data:`SUITE` / :func:`run_suite` (:mod:`repro.bench.suite`) — the
-  named benchmarks behind ``python -m repro bench [--smoke] [--check]``.
+* :func:`run_bench` (:mod:`repro.bench.runner`) — ``python -m repro
+  bench``: runs the checkout's ``perf/run.py`` on fixed seeds, appends
+  one record per workload and, with ``--check``, applies
+  ``perf/compare.py``'s verdicts against the latest same-host record.
+* :mod:`repro.bench.trajectory` — ``BENCH_<name>.json`` append-only
+  history files plus session-capped rotation for the benches'
+  ``telemetry.jsonl``.
+* :func:`format_table` — the fixed-width tables the CLI and the
+  experiment benches print.
 """
 
-from repro.bench.compare import (
-    DEFAULT_MIN_DELTA_S,
-    DEFAULT_TOLERANCE,
-    GATED_METRICS,
-    CompareResult,
-    MetricDelta,
-    compare,
-)
-from repro.bench.harness import (
-    BenchHarness,
-    BenchResult,
-    cache_counter_totals,
-    rss_peak_kb,
-)
-from repro.bench.suite import (
-    SEED,
-    SUITE,
-    BenchSpec,
-    SuiteOutcome,
-    run_once,
-    run_suite,
+from repro.bench.runner import (
+    build_record,
+    check_against,
+    find_checkout,
+    grown_layers,
+    run_bench,
 )
 from repro.bench.tools import format_table
 from repro.bench.trajectory import (
     BENCH_PREFIX,
     SESSION_RECORD,
     TELEMETRY_PATH_ENV,
-    BenchRecord,
     append_record,
-    environment_fingerprint,
-    git_commit,
     latest_baseline,
     load_trajectory,
     new_trajectory,
@@ -58,33 +38,19 @@ from repro.bench.trajectory import (
 
 __all__ = [
     "BENCH_PREFIX",
-    "BenchHarness",
-    "BenchRecord",
-    "BenchResult",
-    "BenchSpec",
-    "CompareResult",
-    "DEFAULT_MIN_DELTA_S",
-    "DEFAULT_TOLERANCE",
-    "GATED_METRICS",
-    "MetricDelta",
-    "SEED",
     "SESSION_RECORD",
-    "SUITE",
-    "SuiteOutcome",
     "TELEMETRY_PATH_ENV",
     "append_record",
-    "cache_counter_totals",
-    "compare",
-    "environment_fingerprint",
+    "build_record",
+    "check_against",
+    "find_checkout",
     "format_table",
-    "git_commit",
+    "grown_layers",
     "latest_baseline",
     "load_trajectory",
     "new_trajectory",
     "rotate_jsonl_sessions",
-    "rss_peak_kb",
-    "run_once",
-    "run_suite",
+    "run_bench",
     "session_marker",
     "trajectory_path",
 ]

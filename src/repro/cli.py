@@ -178,18 +178,11 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench import SUITE, run_suite
+    from repro.bench import run_bench
 
-    if args.list:
-        for name, spec in sorted(SUITE.items()):
-            print(f"{name}: {spec.description}")
-        return 0
-    return run_suite(
-        names=args.benchmarks or None, smoke=args.smoke, runs=args.runs,
-        warmup=args.warmup, directory=args.dir, check=args.check,
-        tolerance=args.tolerance, handicap_s=args.handicap,
-        append=not args.no_append,
-    )
+    return run_bench(args.workloads, smoke=args.smoke, runs=args.runs,
+                     check=args.check, append=not args.no_append,
+                     handicap=args.handicap)
 
 
 def _cmd_serve(args) -> int:
@@ -367,32 +360,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the benchmark suite and append BENCH_*.json trajectories",
+        help="run perf/'s workloads on fixed seeds and append "
+             "BENCH_<workload>.json records",
     )
-    bench.add_argument("benchmarks", nargs="*",
-                       help="benchmark names (default: the whole suite)")
-    bench.add_argument("--list", action="store_true",
-                       help="list the suite's benchmarks and exit")
+    bench.add_argument("workloads", nargs="*",
+                       help="perf workload names (default: all five)")
     bench.add_argument("--smoke", action="store_true",
-                       help="CI-sized quick variant")
+                       help="CI sizes: fewer seeds of shorter runs")
     bench.add_argument("--check", action="store_true",
-                       help="exit non-zero on regression vs. the latest "
-                            "same-mode baseline")
+                       help="exit 1 on a perf/compare.py regression against "
+                            "the latest record from this host at this size")
     bench.add_argument("--runs", type=int, default=None,
-                       help="measured runs per benchmark "
-                            "(default: 3 smoke / 5 full)")
-    bench.add_argument("--warmup", type=int, default=1,
-                       help="untimed warmup runs (default 1)")
-    bench.add_argument("--tolerance", type=float, default=0.20,
-                       help="relative regression tolerance (default 0.20)")
-    bench.add_argument("--dir", default=".",
-                       help="directory holding BENCH_*.json (default: cwd)")
+                       help="seeds 1..N per workload (default: fewer with "
+                            "--smoke, else 10)")
     bench.add_argument("--no-append", action="store_true",
-                       help="measure and gate without writing trajectories")
-    bench.add_argument("--handicap", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="inject a sleep into every timed run "
-                            "(regression-gate self-test)")
+                       help="measure and check without writing records")
+    bench.add_argument("--handicap", action="append", default=[],
+                       metavar="LAYER=MS",
+                       help="passed to perf/run.py: spin MS ms in every call "
+                            "of LAYER (gate self-test)")
     bench.set_defaults(handler=_cmd_bench)
 
     serve = sub.add_parser(

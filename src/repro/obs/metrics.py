@@ -197,8 +197,8 @@ class Histogram:
 
         The dict is export-shaped (``p50``/``p90``/… keys), safe on an
         empty histogram (quantiles and mean are ``None``), and is the
-        "profile shape" the serving layer and ``repro.bench`` report
-        latency percentiles in.
+        "profile shape" the serving layer's ``stats()`` reports latency
+        percentiles in.
         """
         record: dict[str, object] = {
             "count": self.count, "sum": self.sum,

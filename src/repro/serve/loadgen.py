@@ -8,10 +8,10 @@ once, not a smooth stream.  This module synthesizes exactly that
 workload and drives a :class:`~repro.serve.server.QueryServer` with it,
 reporting sustained throughput and end-to-end latency percentiles.
 
-It is the data source behind the ``BENCH_serve`` trajectory's
-``serve_load`` workload (``repro.bench``), the standalone
-``benchmarks/bench_e20_async_serve.py`` experiment, and the CI smoke
-step — one generator, three consumers, so the numbers are comparable.
+It is the data source behind the standalone
+``benchmarks/bench_e20_async_serve.py`` experiment and its CI smoke
+step, and ``perf/``'s serve workloads draw their query shapes from
+:func:`query_shapes` — one generator, so the numbers are comparable.
 
 Everything is deterministic under a fixed seed: the table rows, the
 tenant/shape draws, and the burst sizes all come from one

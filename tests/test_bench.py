@@ -1,182 +1,137 @@
-"""Tests for the benchmark layer (repro.bench): harness, trajectory, gate."""
+"""Tests for the benchmark layer (repro.bench): records, baselines, check.
 
-import hashlib
+The measurements themselves come from ``perf/run.py`` (its own tests are
+under ``perf/tests``); these tests feed the front door synthetic perf
+result dicts, so no workload runs.
+"""
+
 import json
-import os
 import shutil
-import subprocess
+from pathlib import Path
 
 import pytest
 
 from repro.bench import (
-    BenchHarness,
-    BenchRecord,
     append_record,
-    cache_counter_totals,
-    compare,
-    environment_fingerprint,
+    build_record,
+    check_against,
     format_table,
+    grown_layers,
     latest_baseline,
     load_trajectory,
     new_trajectory,
     rotate_jsonl_sessions,
-    run_suite,
     session_marker,
     trajectory_path,
 )
+from repro.bench import runner
 from repro.exceptions import DataError
 
+REPO = Path(__file__).resolve().parents[1]
+SPEC = json.loads((REPO / "BENCHMARK.json").read_text())
+METRICS = [metric["name"] for metric in SPEC["end_to_end"]]
+PROVENANCE = {"commit": "0" * 40, "dirty": False, "diff_sha256": "e3b0",
+              "source_digest": "5d1f", "nproc": 2, "python": "3.11.7",
+              "numpy": "2.4.6", "machine": "x86_64"}
 
-# -- compare: the regression gate --------------------------------------------
 
-
-def metrics(wall, cpu=None):
-    result = {"wall_s_median": wall}
-    if cpu is not None:
-        result["cpu_s_median"] = cpu
+def perf_result(seed, seconds=2.0, handicap=None, layers=None, **values):
+    """One ``<workload>.json`` as perf/run.py writes it (seed 1 traced)."""
+    metrics = {name: 10.0 for name in METRICS}
+    metrics.update(values)
+    result = {
+        "workload": "serve_fresh", "seed": seed, "seconds": seconds,
+        "tiny": False, "handicap": handicap or {}, "provenance": PROVENANCE,
+        "metrics": metrics, "outputs_digest": f"digest-{seed}",
+        "shares": {"failed_share": 0.0, "slo_miss_share": 0.0},
+        "checks": {"all_ok": True}, "attempted": 100, "failed": 0,
+    }
+    if seed == 1:
+        result["layers"] = layers or {"serve.plan.s": 7e-6,
+                                      "serve.group_stats.quantile.s": 5e-5,
+                                      "serve.group_stats.calls": 0.03}
     return result
 
 
-def test_compare_flags_regression():
-    result = compare(metrics(0.10), metrics(0.50), min_delta_s=0.0)
-    assert not result.ok
-    assert [d.metric for d in result.regressions] == ["wall_s_median"]
-    assert result.regressions[0].ratio == pytest.approx(5.0)
-    assert "0.5000s" in result.regressions[0].render()
+def record(seeds=3, host="box", seconds=2.0, handicap=None, layers=None,
+           **values):
+    results = [perf_result(seed, seconds, handicap, layers, **values)
+               for seed in range(1, seeds + 1)]
+    return build_record("serve_fresh", results, SPEC, host)
 
 
-def test_compare_passes_improvement_and_flags_it():
-    result = compare(metrics(0.50), metrics(0.10), min_delta_s=0.0)
-    assert result.ok
-    assert [d.metric for d in result.improvements] == ["wall_s_median"]
+@pytest.fixture(scope="module")
+def compare():
+    return runner.load_compare(REPO)
 
 
-def test_compare_tolerance_boundary_is_exclusive():
-    # current == baseline * (1 + tolerance) exactly → passes (strict >).
-    result = compare(metrics(1.0), metrics(1.2), tolerance=0.20,
-                     min_delta_s=0.0)
-    assert result.ok
-    result = compare(metrics(1.0), metrics(1.2001), tolerance=0.20,
-                     min_delta_s=0.0)
-    assert not result.ok
-
-
-def test_compare_absolute_noise_floor():
-    # 100% slower but only 10ms absolute: under the floor, passes.
-    result = compare(metrics(0.010), metrics(0.020), min_delta_s=0.02)
-    assert result.ok
-    assert result.checked == ["wall_s_median"]
-
-
-def test_compare_gates_cpu_as_well_as_wall():
-    result = compare(metrics(1.0, cpu=1.0), metrics(1.0, cpu=2.0),
-                     min_delta_s=0.0)
-    assert [d.metric for d in result.regressions] == ["cpu_s_median"]
-
-
-def test_compare_skips_missing_or_nonpositive_metrics():
-    result = compare({"wall_s_median": 0.0}, metrics(5.0), min_delta_s=0.0)
-    assert result.ok
-    assert "wall_s_median" in result.skipped
-    result = compare({}, metrics(5.0))
-    assert result.ok and result.checked == []
-
-
-def test_compare_accepts_full_trajectory_records():
-    baseline = BenchRecord(name="x", metrics=metrics(0.1)).to_dict()
-    current = BenchRecord(name="x", metrics=metrics(0.9)).to_dict()
-    assert not compare(baseline, current, min_delta_s=0.0).ok
-
-
-def test_compare_validates_inputs():
-    with pytest.raises(DataError):
-        compare("nope", metrics(1.0))
-    with pytest.raises(DataError):
-        compare(metrics(1.0), metrics(1.0), tolerance=-0.1)
-
-
-# -- trajectory files --------------------------------------------------------
+# -- records and trajectory files --------------------------------------------
 
 
 def test_trajectory_append_load_roundtrip(tmp_path):
-    path = trajectory_path("demo", str(tmp_path))
-    assert path.endswith("BENCH_demo.json")
-    record = BenchRecord(name="demo", metrics=metrics(0.5),
-                         mode="smoke").stamp()
-    append_record(path, record)
+    path = trajectory_path("serve_fresh", str(tmp_path))
+    assert path.endswith("BENCH_serve_fresh.json")
+    results = [perf_result(seed, latency_p50_ms=float(seed))
+               for seed in (1, 2, 3, 4, 5)]
+    results[2]["checks"]["all_ok"] = False
+    append_record(path, build_record("serve_fresh", results, SPEC, "box"))
     trajectory = load_trajectory(path)
-    assert trajectory["name"] == "demo"
-    assert len(trajectory["runs"]) == 1
-    run = trajectory["runs"][0]
-    assert run["metrics"]["wall_s_median"] == 0.5
-    assert run["timestamp"] > 0
-    assert run["environment"]["python"]
-
-
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_stamp_records_dirty_flag_and_diff_hash(tmp_path):
-    def git(*args):
-        identity = ("-c", "user.name=bench",
-                    "-c", "user.email=bench@example.com")
-        return subprocess.run(
-            ["git", *identity, *args],
-            cwd=tmp_path, check=True, capture_output=True,
-        ).stdout
-
-    git("init", "-q")
-    (tmp_path / "kernel.py").write_text("speed = 1\n")
-    git("add", "kernel.py")
-    git("commit", "-q", "-m", "baseline")
-    head = git("rev-parse", "--short", "HEAD").decode().strip()
-
-    clean = BenchRecord(name="demo", metrics=metrics(0.5)).stamp(
-        cwd=str(tmp_path))
-    assert clean.commit == head
-    assert clean.dirty is False
-    assert clean.diff_sha256 == hashlib.sha256(b"").hexdigest()
-
-    (tmp_path / "kernel.py").write_text("speed = 2\n")
-    dirty = BenchRecord(name="demo", metrics=metrics(0.5)).stamp(
-        cwd=str(tmp_path)).to_dict()
-    assert dirty["commit"] == head
-    assert dirty["dirty"] is True
-    assert dirty["diff_sha256"] == hashlib.sha256(
-        git("diff", "HEAD")).hexdigest()
-    assert dirty["diff_sha256"] != clean.diff_sha256
-
-
-def test_stamp_outside_a_repository(tmp_path, monkeypatch):
-    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
-    record = BenchRecord(name="demo", metrics=metrics(0.5)).stamp(
-        cwd=str(tmp_path))
-    assert record.commit is None
-    assert record.dirty is None and record.diff_sha256 is None
+    assert trajectory["name"] == "serve_fresh"
+    (run,) = trajectory["runs"]
+    assert run["host"] == "box" and run["seconds"] == 2.0
+    assert run["provenance"] == PROVENANCE
+    assert run["timestamp"] > 0 and run["handicap"] == {}
+    assert [entry["seed"] for entry in run["seeds"]] == [1, 2, 3, 4, 5]
+    assert [entry["correct"] for entry in run["seeds"]] == [
+        True, True, False, True, True]
+    first = run["seeds"][0]
+    assert set(first["metrics"]) == set(METRICS)
+    assert first["outputs_digest"] == "digest-1"
+    assert first["shares"] == {"failed_share": 0.0, "slo_miss_share": 0.0}
+    # statistics.quantiles([1..5], n=4) -> 1.5, 3, 4.5
+    assert run["median"]["latency_p50_ms"] == 3.0
+    assert run["iqr"]["latency_p50_ms"] == 3.0
+    assert run["median"]["setup_s"] == 10.0 and run["iqr"]["setup_s"] == 0.0
+    assert run["layers"]["serve.group_stats.quantile.s"] == 5e-5
 
 
 def test_trajectory_caps_history(tmp_path):
     path = trajectory_path("demo", str(tmp_path))
     for index in range(7):
-        append_record(
-            path, BenchRecord(name="demo", metrics=metrics(float(index))),
-            max_runs=3,
-        )
+        append_record(path, {"name": "demo", "index": index}, max_runs=3)
     runs = load_trajectory(path)["runs"]
-    assert [r["metrics"]["wall_s_median"] for r in runs] == [4.0, 5.0, 6.0]
+    assert [r["index"] for r in runs] == [4, 5, 6]
+
+
+def test_appending_leaves_existing_history_byte_unchanged(tmp_path):
+    path = trajectory_path("pipeline", str(tmp_path))
+    shutil.copy(REPO / "BENCH_pipeline.json", path)
+    before = Path(path).read_text()
+    append_record(path, record())
+    after = Path(path).read_text()
+    assert before.endswith("\n  ]\n}\n")
+    assert after.startswith(before[:-len("\n  ]\n}\n")] + ",\n")
 
 
 def test_latest_baseline_matches_mode():
-    trajectory = new_trajectory("demo")
-    trajectory["runs"] = [
-        BenchRecord(name="demo", metrics=metrics(1.0), mode="full").to_dict(),
-        BenchRecord(name="demo", metrics=metrics(2.0), mode="smoke").to_dict(),
-        BenchRecord(name="demo", metrics=metrics(3.0), mode="full").to_dict(),
-    ]
-    assert latest_baseline(trajectory, "smoke")["metrics"][
-        "wall_s_median"] == 2.0
-    assert latest_baseline(trajectory, "full")["metrics"][
-        "wall_s_median"] == 3.0
-    assert latest_baseline(trajectory)["metrics"]["wall_s_median"] == 3.0
-    assert latest_baseline(trajectory, "experiment") is None
+    # The mode of a record is its host and size; the committed
+    # BENCH_pipeline.json holds the deleted suite's whole-run records
+    # under perf/'s workload name, which are never baselines.
+    trajectory = load_trajectory(str(REPO / "BENCH_pipeline.json"))
+    assert trajectory["runs"]
+    assert latest_baseline(trajectory, "box", 2.0) is None
+    older, smoke, other_host, handicapped, latest, full = (
+        record(latency_p50_ms=1.0), record(latency_p50_ms=2.0),
+        record(host="other"), record(handicap={"serve.group_stats": 0.002}),
+        record(latency_p50_ms=3.0), record(seconds=8.0),
+    )
+    trajectory["runs"] += [older, smoke, other_host, handicapped, latest,
+                           full]
+    assert latest_baseline(trajectory, "box", 2.0) is latest
+    assert latest_baseline(trajectory, "box", 8.0) is full
+    assert latest_baseline(trajectory, "other", 2.0) is other_host
+    assert latest_baseline(trajectory, "box", 1.0) is None
+    assert latest_baseline(new_trajectory("x"), "box", 2.0) is None
 
 
 def test_load_trajectory_rejects_garbage(tmp_path):
@@ -191,9 +146,152 @@ def test_load_trajectory_rejects_garbage(tmp_path):
         load_trajectory(str(tmp_path / "BENCH_missing.json"))
 
 
-def test_environment_fingerprint_shape():
-    fingerprint = environment_fingerprint()
-    assert {"python", "platform", "machine", "cpu_count"} <= set(fingerprint)
+# -- the check: perf/compare.py's verdicts against a record ------------------
+
+
+def test_layer_naming_ranks_grown_quantile_first():
+    base = {"serve.plan.s": 7e-6, "serve.group_stats.quantile.s": 5e-5,
+            "serve.group_stats.histogram.s": 1e-5, "serve.budget.s": 6e-6,
+            "core.audit.self_s": 1e-3, "serve.group_stats.calls": 0.03}
+    new = dict(base, **{"serve.group_stats.quantile.s": 9e-4,
+                        "serve.group_stats.histogram.s": 2e-4,
+                        "serve.plan.s": 8e-6, "serve.budget.s": 5e-6,
+                        "serve.group_stats.calls": 9.0})
+    named = grown_layers(base, new)
+    assert [name for name, _, _ in named] == [
+        "serve.group_stats.quantile.s", "serve.group_stats.histogram.s",
+        "serve.plan.s"]
+    assert named[0] == ("serve.group_stats.quantile.s", 5e-5, 9e-4)
+    assert grown_layers(base, new, top=1) == named[:1]
+
+
+def test_compare_flags_regression(compare):
+    lines = []
+    grown = {"serve.plan.s": 7e-6, "serve.group_stats.quantile.s": 2e-3,
+             "serve.group_stats.calls": 0.03}
+    status = check_against(record(latency_p50_ms=30.0, layers=grown),
+                           record(), SPEC, compare, out=lines.append)
+    assert status == 1
+    text = "\n".join(lines)
+    assert "outputs_digest match" in text
+    assert "latency_p50_ms" in text and ": worse" in text
+    named = text[text.index("layers grown most"):]
+    assert named.splitlines()[1].split()[0] == "serve.group_stats.quantile.s"
+    assert "serve.plan.s" not in named
+
+
+def test_compare_passes_improvement_and_flags_it(compare):
+    lines = []
+    status = check_against(record(latency_p50_ms=5.0), record(), SPEC,
+                           compare, out=lines.append)
+    assert status == 0
+    assert any("latency_p50_ms" in line and line.endswith(": better")
+               for line in lines)
+    assert not any("layers grown most" in line for line in lines)
+
+
+def test_compare_gates_cpu_as_well_as_wall(compare):
+    lines = []
+    status = check_against(record(cpu_ms_per_op=20.0), record(), SPEC,
+                           compare, out=lines.append)
+    assert status == 1
+    assert [line.split()[0] for line in lines if line.endswith(": worse")] \
+        == ["cpu_ms_per_op"]
+
+
+def test_compare_tolerance_boundary_is_exclusive(compare):
+    # BENCHMARK.json bounds latency at 0.25: exactly 25% worse passes.
+    bound = next(m["bound"] for m in SPEC["end_to_end"]
+                 if m["name"] == "latency_p50_ms")
+    at_bound = record(latency_p50_ms=10.0 * (1 + bound))
+    assert check_against(at_bound, record(), SPEC, compare,
+                         out=lambda line: None) == 0
+    past = record(latency_p50_ms=10.0 * (1 + bound) + 1e-6)
+    assert check_against(past, record(), SPEC, compare,
+                         out=lambda line: None) == 1
+
+
+def test_compare_accepts_full_trajectory_records(tmp_path, compare):
+    path = trajectory_path("serve_fresh", str(tmp_path))
+    append_record(path, record())
+    baseline = latest_baseline(load_trajectory(path), "box", 2.0)
+    mismatched = record()
+    mismatched["seeds"][1]["outputs_digest"] = "other"
+    lines = []
+    assert check_against(mismatched, baseline, SPEC, compare,
+                         out=lines.append) == 1
+    assert "outputs_digest MISMATCH" in lines[1]
+    assert check_against(record(), baseline, SPEC, compare,
+                         out=lambda line: None) == 0
+
+
+# -- the front door ----------------------------------------------------------
+
+
+@pytest.fixture()
+def checkout(tmp_path, monkeypatch):
+    """A minimal checkout whose perf/run.py is replaced by canned results."""
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "perf").mkdir()
+    (tmp_path / "perf" / "run.py").write_text("")
+    shutil.copy(REPO / "perf" / "compare.py", tmp_path / "perf")
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(runner, "PACKAGE_DIR", tmp_path / "src" / "repro")
+    calls = []
+
+    def fake_run_perf(root, workloads, seeds, seconds, handicap, out, log):
+        calls.append((workloads, seeds, seconds, handicap))
+        return 0, {name: [perf_result(seed, seconds)
+                          for seed in range(1, seeds + 1)]
+                   for name in workloads}
+
+    monkeypatch.setattr(runner, "run_perf", fake_run_perf)
+    return tmp_path, calls
+
+
+def test_check_without_baseline_passes_and_says_so(checkout, capsys):
+    from repro.cli import main
+
+    root, calls = checkout
+    assert main(["bench", "serve_fresh", "--smoke", "--check",
+                 "--no-append"]) == 0
+    assert "no baseline" in capsys.readouterr().out
+    assert calls == [(["serve_fresh"], runner.SMOKE_RUNS,
+                      runner.SMOKE_SECONDS, [])]
+    assert not list(root.glob("BENCH_*.json"))
+
+    assert main(["bench", "serve_fresh", "--runs", "2", "--check",
+                 "--handicap", "serve.plan=1"]) == 0
+    assert calls[-1] == (["serve_fresh"], 2, SPEC["run_seconds"],
+                         ["serve.plan=1"])
+    (run,) = load_trajectory(str(root / "BENCH_serve_fresh.json"))["runs"]
+    assert len(run["seeds"]) == 2
+
+
+def test_harness_validates_arguments(checkout, capsys):
+    from repro.cli import main
+
+    root, calls = checkout
+    assert main(["bench", "nope"]) == 2
+    assert "unknown workload" in capsys.readouterr().err
+    assert main(["bench", "--runs", "0"]) == 2
+    assert calls == [] and not list(root.glob("BENCH_*.json"))
+
+
+def test_front_door_outside_a_checkout_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+
+    installed = tmp_path / "site-packages" / "repro"
+    installed.mkdir(parents=True)
+    monkeypatch.setattr(runner, "PACKAGE_DIR", installed)
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--smoke"]) == 2
+    assert "not inside a checkout" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["site-packages"]
+    with pytest.raises(DataError):
+        runner.find_checkout(installed)
+    assert runner.find_checkout(REPO / "src" / "repro") == REPO
 
 
 # -- telemetry session rotation ----------------------------------------------
@@ -242,98 +340,6 @@ def test_rotation_edge_cases(tmp_path):
     assert rotate_jsonl_sessions(missing, 2) == 0
     with pytest.raises(DataError):
         rotate_jsonl_sessions(missing, 0)
-
-
-# -- harness -----------------------------------------------------------------
-
-
-def test_harness_runs_and_metric_shape():
-    calls = []
-    harness = BenchHarness("demo", runs=3, warmup=2)
-    result = harness.run(lambda: calls.append(1) or len(calls))
-    assert len(calls) == 5                      # warmup + runs
-    assert result.payload == 5                  # last return value
-    assert len(result.wall_s) == 3
-    assert {"wall_s_median", "wall_s_p90", "wall_s_min",
-            "cpu_s_median"} <= set(result.metrics)
-    assert result.metrics["wall_s_min"] <= result.metrics["wall_s_median"]
-    assert result.metrics["wall_s_median"] <= result.metrics["wall_s_p90"]
-
-
-def test_harness_handicap_slows_every_run():
-    harness = BenchHarness("demo", runs=2, warmup=0, handicap_s=0.02)
-    result = harness.run(lambda: None)
-    assert all(wall >= 0.02 for wall in result.wall_s)
-
-
-def test_harness_alloc_metric():
-    harness = BenchHarness("demo", runs=1, warmup=0, measure_alloc=True)
-    result = harness.run(lambda: [0] * 100_000)
-    assert result.metrics["alloc_peak_kb"] > 100
-
-
-def test_harness_validates_arguments():
-    with pytest.raises(DataError):
-        BenchHarness("demo", runs=0)
-    with pytest.raises(DataError):
-        BenchHarness("demo", warmup=-1)
-
-
-def test_harness_cache_counters_from_telemetry():
-    from repro import obs
-
-    telemetry = obs.configure()
-    try:
-        telemetry.metrics.counter("store.hits", store="a").inc(3)
-        telemetry.metrics.counter("store.hits", store="b").inc(2)
-        telemetry.metrics.counter("serve.cache.misses").inc(4)
-        totals = cache_counter_totals(telemetry)
-    finally:
-        obs.reset()
-    assert totals["hits"] == 5
-    assert totals["misses"] == 4
-    assert cache_counter_totals(None) == {"hits": 0, "misses": 0,
-                                          "uncacheable": 0}
-
-
-# -- suite + CLI -------------------------------------------------------------
-
-
-def test_run_suite_smoke_writes_trajectory_and_gates(tmp_path):
-    directory = str(tmp_path)
-    lines = []
-    code = run_suite(names=["pipeline"], smoke=True, runs=1, warmup=0,
-                     directory=directory, out=lines.append)
-    assert code == 0
-    path = trajectory_path("pipeline", directory)
-    assert os.path.exists(path)
-    assert any("pipeline" in line for line in lines)
-
-    # Same machine, same workload: the gate passes against the baseline.
-    code = run_suite(names=["pipeline"], smoke=True, runs=1, warmup=0,
-                     directory=directory, check=True, out=lines.append)
-    assert code == 0
-
-    # An injected slowdown far past tolerance must trip it.
-    code = run_suite(names=["pipeline"], smoke=True, runs=1, warmup=0,
-                     directory=directory, check=True, handicap_s=0.3,
-                     append=False, out=lines.append)
-    assert code == 1
-    assert any("REGRESSION" in line for line in lines)
-    assert len(load_trajectory(path)["runs"]) == 2   # append=False held
-
-
-def test_run_suite_rejects_unknown_benchmark(tmp_path):
-    with pytest.raises(DataError):
-        run_suite(names=["nope"], directory=str(tmp_path))
-
-
-def test_bench_cli_list(capsys):
-    from repro.cli import main
-
-    assert main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    assert "audit" in out and "pipeline" in out and "serve" in out
 
 
 def test_format_table_renders_none_as_dash():
