@@ -18,7 +18,6 @@ moves *across commits*.  Three pieces:
 from repro.bench.runner import (
     build_record,
     check_against,
-    find_checkout,
     grown_layers,
     run_bench,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "append_record",
     "build_record",
     "check_against",
-    "find_checkout",
     "format_table",
     "grown_layers",
     "latest_baseline",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import importlib.util
 import json
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -39,7 +38,8 @@ from repro.exceptions import DataError
 #: ``src/repro``; the checkout root is two levels up.
 PACKAGE_DIR = Path(__file__).resolve().parents[1]
 
-#: ``--smoke`` sizes, chosen by measurement on a 2-vCPU VM.
+#: ``--smoke`` sizes, chosen by measurement on a 2-vCPU VM (other runner
+#: classes are unmeasured).
 SMOKE_SECONDS = 2.0
 SMOKE_RUNS = 3
 #: Seeds per workload at the default size (``run_seconds`` of BENCHMARK.json).
@@ -49,15 +49,14 @@ FULL_RUNS = 10
 NAMED_LAYERS = 5
 
 
-def find_checkout(package_dir: Path | None = None) -> Path:
+def find_checkout() -> Path:
     """The checkout root holding ``src/repro``, ``perf/`` and BENCHMARK.json."""
-    package_dir = PACKAGE_DIR if package_dir is None else package_dir
-    root = package_dir.parent.parent
+    root = PACKAGE_DIR.parent.parent
     needed = [root / "perf" / "run.py", root / "perf" / "compare.py",
               root / "BENCHMARK.json"]
-    if package_dir.parent.name != "src" or not all(p.is_file() for p in needed):
+    if PACKAGE_DIR.parent.name != "src" or not all(p.is_file() for p in needed):
         raise DataError(
-            f"the benchmark lives in perf/ next to src/, but {package_dir} is "
+            f"the benchmark lives in perf/ next to src/, but {PACKAGE_DIR} is "
             "not inside a checkout of the repository; run it from a full "
             "checkout (PYTHONPATH=src python -m repro bench)"
         )
@@ -74,18 +73,18 @@ def load_compare(root: Path):
 
 
 def run_perf(root: Path, workloads: list[str], seeds: int, seconds: float,
-             handicap: list[str], out: Path,
+             handicap: list[str], scratch: Path,
              log: Callable[[str], None] = print) -> tuple[int, dict]:
     """Run ``perf/run.py`` on seeds 1..``seeds``; (status, results).
 
     ``results`` maps each workload to its per-seed result dicts (the
-    ``<workload>.json`` files ``run.py`` writes), in seed order.  A
-    non-zero status is ``run.py``'s, and stops the runs.
+    ``<workload>.json`` files ``run.py`` writes under ``scratch``), in
+    seed order.  A non-zero status is ``run.py``'s, and stops the runs.
     """
     results: dict[str, list[dict]] = {name: [] for name in workloads}
     for seed in range(1, seeds + 1):
         started = time.monotonic()
-        seed_dir = out / f"seed{seed}"
+        seed_dir = scratch / f"seed{seed}"
         command = [sys.executable, str(root / "perf" / "run.py"),
                    "--seed", str(seed), "--seconds", f"{seconds:g}",
                    "--out", str(seed_dir)]
@@ -104,17 +103,13 @@ def run_perf(root: Path, workloads: list[str], seeds: int, seconds: float,
     return 0, results
 
 
-def median_iqr(values: list[float]) -> tuple[float, float]:
-    """The median and interquartile range, as perf/compare.py's quartiles."""
-    if len(values) == 1:
-        return values[0], 0.0
-    low, _, high = statistics.quantiles(values, n=4)
-    return statistics.median(values), high - low
+def build_record(workload: str, results: list[dict], spec: dict, host: str,
+                 compare) -> dict:
+    """One trajectory record from a workload's per-seed perf results.
 
-
-def build_record(workload: str, results: list[dict], spec: dict,
-                 host: str) -> dict:
-    """One trajectory record from a workload's per-seed perf results."""
+    Medians and IQRs come from ``compare.quartiles``, the statistic the
+    check judges them by.
+    """
     names = [metric["name"] for metric in spec["end_to_end"]]
     seeds = [{
         "seed": result["seed"],
@@ -123,7 +118,7 @@ def build_record(workload: str, results: list[dict], spec: dict,
         "shares": result["shares"],
         "correct": all(result["checks"].values()) and result["failed"] == 0,
     } for result in results]
-    summary = {name: median_iqr([run["metrics"][name] for run in seeds])
+    summary = {name: compare.quartiles([run["metrics"][name] for run in seeds])
                for name in names}
     traced = next(result for result in results if "layers" in result)
     return {
@@ -134,19 +129,19 @@ def build_record(workload: str, results: list[dict], spec: dict,
         "handicap": results[0]["handicap"],
         "provenance": results[0]["provenance"],
         "seeds": seeds,
-        "median": {name: median for name, (median, _) in summary.items()},
-        "iqr": {name: iqr for name, (_, iqr) in summary.items()},
+        "median": {name: median for name, (_, median, _) in summary.items()},
+        "iqr": {name: q3 - q1 for name, (q1, _, q3) in summary.items()},
         "layers": traced["layers"],
     }
 
 
-def grown_layers(base: dict, new: dict, top: int = NAMED_LAYERS) -> list:
+def grown_layers(base: dict, new: dict) -> list:
     """The per-layer seconds per op that grew most: (name, base, new)."""
     timed = [name for name in new if name in base
              and name.rsplit(".", 1)[-1] in ("s", "self_s")
              and new[name] > base[name]]
     timed.sort(key=lambda name: new[name] - base[name], reverse=True)
-    return [(name, base[name], new[name]) for name in timed[:top]]
+    return [(name, base[name], new[name]) for name in timed[:NAMED_LAYERS]]
 
 
 def check_against(record: dict, baseline: dict | None, spec: dict, compare,
@@ -172,10 +167,14 @@ def check_against(record: dict, baseline: dict | None, spec: dict, compare,
     return status
 
 
+def _say(line: str) -> None:
+    print(line, flush=True)  # progress shows while perf/run.py works
+
+
 def run_bench(workloads: list[str] | None = None, *, smoke: bool = False,
               runs: int | None = None, check: bool = False,
               append: bool = True, handicap: list[str] = (),
-              out: Callable[[str], None] = print) -> int:
+              out: Callable[[str], None] = _say) -> int:
     """Measure, report, gate and record; a process exit status.
 
     1 when ``perf/run.py`` failed, a run failed a correctness check or
@@ -194,7 +193,7 @@ def run_bench(workloads: list[str] | None = None, *, smoke: bool = False,
     if seeds < 1:
         raise DataError("--runs must be at least 1")
     seconds = SMOKE_SECONDS if smoke else spec["run_seconds"]
-    compare = load_compare(root) if check else None
+    compare = load_compare(root)
 
     out(f"perf/run.py: {', '.join(workloads)}; seeds 1..{seeds} "
         f"(seed 1 traced) at --seconds {seconds:g}")
@@ -208,7 +207,8 @@ def run_bench(workloads: list[str] | None = None, *, smoke: bool = False,
 
     host = platform.node()
     for workload in workloads:
-        record = build_record(workload, results[workload], spec, host)
+        record = build_record(workload, results[workload], spec, host,
+                              compare)
         out(format_table(
             f"{workload} ({seeds} seeds, --seconds {seconds:g})",
             ["metric", "median", "iqr", "unit"],

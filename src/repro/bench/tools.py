@@ -1,8 +1,7 @@
 """Small shared helpers for the benchmark layer.
 
-``format_table`` used to live in ``benchmarks/_tools.py``; it is
-promoted here so the in-package suite, the CLI, and the experiment
-benches all render the same fixed-width tables.
+``format_table`` renders the fixed-width tables that
+``python -m repro bench`` and the experiment benches print.
 """
 
 from __future__ import annotations

@@ -187,8 +187,8 @@ def run_zipf_load(*, n_queries: int = 20_000, n_rows: int = 5_000,
                   ) -> LoadReport:
     """Build a census table + server, run the Zipf workload end to end.
 
-    The one-call entry point the bench suite, the experiment script,
-    and CI all share.  ``config`` defaults to a batching configuration
+    The one-call entry point for an end-to-end Zipf load run.
+    ``config`` defaults to a batching configuration
     (2 ms window) with a per-tenant budget big enough that the workload
     is bounded by serving speed, not ε exhaustion.
     """

@@ -53,16 +53,14 @@ def perf_result(seed, seconds=2.0, handicap=None, layers=None, **values):
     return result
 
 
+COMPARE = runner.load_compare(REPO)
+
+
 def record(seeds=3, host="box", seconds=2.0, handicap=None, layers=None,
            **values):
     results = [perf_result(seed, seconds, handicap, layers, **values)
                for seed in range(1, seeds + 1)]
-    return build_record("serve_fresh", results, SPEC, host)
-
-
-@pytest.fixture(scope="module")
-def compare():
-    return runner.load_compare(REPO)
+    return build_record("serve_fresh", results, SPEC, host, COMPARE)
 
 
 # -- records and trajectory files --------------------------------------------
@@ -74,7 +72,8 @@ def test_trajectory_append_load_roundtrip(tmp_path):
     results = [perf_result(seed, latency_p50_ms=float(seed))
                for seed in (1, 2, 3, 4, 5)]
     results[2]["checks"]["all_ok"] = False
-    append_record(path, build_record("serve_fresh", results, SPEC, "box"))
+    append_record(path, build_record("serve_fresh", results, SPEC, "box",
+                                     COMPARE))
     trajectory = load_trajectory(path)
     assert trajectory["name"] == "serve_fresh"
     (run,) = trajectory["runs"]
@@ -162,15 +161,14 @@ def test_layer_naming_ranks_grown_quantile_first():
         "serve.group_stats.quantile.s", "serve.group_stats.histogram.s",
         "serve.plan.s"]
     assert named[0] == ("serve.group_stats.quantile.s", 5e-5, 9e-4)
-    assert grown_layers(base, new, top=1) == named[:1]
 
 
-def test_compare_flags_regression(compare):
+def test_compare_flags_regression():
     lines = []
     grown = {"serve.plan.s": 7e-6, "serve.group_stats.quantile.s": 2e-3,
              "serve.group_stats.calls": 0.03}
     status = check_against(record(latency_p50_ms=30.0, layers=grown),
-                           record(), SPEC, compare, out=lines.append)
+                           record(), SPEC, COMPARE, out=lines.append)
     assert status == 1
     text = "\n".join(lines)
     assert "outputs_digest match" in text
@@ -180,48 +178,48 @@ def test_compare_flags_regression(compare):
     assert "serve.plan.s" not in named
 
 
-def test_compare_passes_improvement_and_flags_it(compare):
+def test_compare_passes_improvement_and_flags_it():
     lines = []
     status = check_against(record(latency_p50_ms=5.0), record(), SPEC,
-                           compare, out=lines.append)
+                           COMPARE, out=lines.append)
     assert status == 0
     assert any("latency_p50_ms" in line and line.endswith(": better")
                for line in lines)
     assert not any("layers grown most" in line for line in lines)
 
 
-def test_compare_gates_cpu_as_well_as_wall(compare):
+def test_compare_gates_cpu_as_well_as_wall():
     lines = []
     status = check_against(record(cpu_ms_per_op=20.0), record(), SPEC,
-                           compare, out=lines.append)
+                           COMPARE, out=lines.append)
     assert status == 1
     assert [line.split()[0] for line in lines if line.endswith(": worse")] \
         == ["cpu_ms_per_op"]
 
 
-def test_compare_tolerance_boundary_is_exclusive(compare):
+def test_compare_tolerance_boundary_is_exclusive():
     # BENCHMARK.json bounds latency at 0.25: exactly 25% worse passes.
     bound = next(m["bound"] for m in SPEC["end_to_end"]
                  if m["name"] == "latency_p50_ms")
     at_bound = record(latency_p50_ms=10.0 * (1 + bound))
-    assert check_against(at_bound, record(), SPEC, compare,
+    assert check_against(at_bound, record(), SPEC, COMPARE,
                          out=lambda line: None) == 0
     past = record(latency_p50_ms=10.0 * (1 + bound) + 1e-6)
-    assert check_against(past, record(), SPEC, compare,
+    assert check_against(past, record(), SPEC, COMPARE,
                          out=lambda line: None) == 1
 
 
-def test_compare_accepts_full_trajectory_records(tmp_path, compare):
+def test_compare_accepts_full_trajectory_records(tmp_path):
     path = trajectory_path("serve_fresh", str(tmp_path))
     append_record(path, record())
     baseline = latest_baseline(load_trajectory(path), "box", 2.0)
     mismatched = record()
     mismatched["seeds"][1]["outputs_digest"] = "other"
     lines = []
-    assert check_against(mismatched, baseline, SPEC, compare,
+    assert check_against(mismatched, baseline, SPEC, COMPARE,
                          out=lines.append) == 1
     assert "outputs_digest MISMATCH" in lines[1]
-    assert check_against(record(), baseline, SPEC, compare,
+    assert check_against(record(), baseline, SPEC, COMPARE,
                          out=lambda line: None) == 0
 
 
@@ -239,7 +237,8 @@ def checkout(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "PACKAGE_DIR", tmp_path / "src" / "repro")
     calls = []
 
-    def fake_run_perf(root, workloads, seeds, seconds, handicap, out, log):
+    def fake_run_perf(root, workloads, seeds, seconds, handicap, scratch,
+                      log):
         calls.append((workloads, seeds, seconds, handicap))
         return 0, {name: [perf_result(seed, seconds)
                           for seed in range(1, seeds + 1)]
@@ -282,6 +281,7 @@ def test_front_door_outside_a_checkout_exits_2_and_writes_nothing(
         tmp_path, monkeypatch, capsys):
     from repro.cli import main
 
+    assert runner.find_checkout() == REPO
     installed = tmp_path / "site-packages" / "repro"
     installed.mkdir(parents=True)
     monkeypatch.setattr(runner, "PACKAGE_DIR", installed)
@@ -289,9 +289,6 @@ def test_front_door_outside_a_checkout_exits_2_and_writes_nothing(
     assert main(["bench", "--smoke"]) == 2
     assert "not inside a checkout" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["site-packages"]
-    with pytest.raises(DataError):
-        runner.find_checkout(installed)
-    assert runner.find_checkout(REPO / "src" / "repro") == REPO
 
 
 # -- telemetry session rotation ----------------------------------------------
