@@ -40,8 +40,8 @@ PACKAGE_DIR = Path(__file__).resolve().parents[1]
 
 #: ``--smoke`` sizes, chosen by measurement on a 2-vCPU VM (other runner
 #: classes are unmeasured).
-SMOKE_SECONDS = 2.0
-SMOKE_RUNS = 3
+SMOKE_SECONDS = 1.0
+SMOKE_RUNS = 4
 #: Seeds per workload at the default size (``run_seconds`` of BENCHMARK.json).
 FULL_RUNS = 10
 
