@@ -277,6 +277,17 @@ def test_harness_validates_arguments(checkout, capsys):
     assert calls == [] and not list(root.glob("BENCH_*.json"))
 
 
+def test_run_suite_rejects_unknown_benchmark(checkout):
+    # run_bench is the entry point behind the CLI; an unknown name among
+    # known ones is refused before perf/run.py starts.
+    from repro.bench import run_bench
+
+    root, calls = checkout
+    with pytest.raises(DataError, match="unknown workload"):
+        run_bench(["serve_fresh", "nope"], out=lambda line: None)
+    assert calls == [] and not list(root.glob("BENCH_*.json"))
+
+
 def test_front_door_outside_a_checkout_exits_2_and_writes_nothing(
         tmp_path, monkeypatch, capsys):
     from repro.cli import main
