@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.parallel import pmap, resolve_n_jobs
+from repro.parallel import pmap
 from repro.store import array_fingerprint, code_fingerprint, resolve_store
 
 #: Degenerate-resample failures a paired bootstrap may legitimately skip:
@@ -117,13 +117,10 @@ def bootstrap_ci(values, statistic: Callable[[np.ndarray], float],
         n = len(values)
         indices = rng.integers(0, n, size=(n_resamples, n))
         worker = _ResampleStatistic(values, statistic)
-        if resolve_n_jobs(n_jobs) == 1:
-            estimates = np.array([worker(row) for row in indices])
-        else:
-            estimates = np.array(pmap(
-                worker, list(indices), n_jobs=n_jobs, backend=backend,
-                name="bootstrap",
-            ))
+        estimates = np.array(pmap(
+            worker, list(indices), n_jobs=n_jobs, backend=backend,
+            name="bootstrap",
+        ))
         alpha = 1.0 - confidence
         lower, upper = np.quantile(
             estimates, [alpha / 2.0, 1.0 - alpha / 2.0]
@@ -177,18 +174,19 @@ def bootstrap_paired_ci(y_true, y_pred,
         raise DataError("y_true and y_pred must be aligned 1-D arrays")
     if len(y_true) < 2:
         raise DataError("need at least 2 pairs")
+    if not 0.0 < confidence < 1.0:
+        raise DataError("confidence must be in (0, 1)")
+    if n_resamples < 10:
+        raise DataError("need at least 10 resamples")
 
     def compute() -> IntervalEstimate:
         n = len(y_true)
         indices = rng.integers(0, n, size=(n_resamples, n))
         worker = _ResampleMetric(y_true, y_pred, metric)
-        if resolve_n_jobs(n_jobs) == 1:
-            estimates = np.array([worker(row) for row in indices])
-        else:
-            estimates = np.array(pmap(
-                worker, list(indices), n_jobs=n_jobs, backend=backend,
-                name="bootstrap",
-            ))
+        estimates = np.array(pmap(
+            worker, list(indices), n_jobs=n_jobs, backend=backend,
+            name="bootstrap",
+        ))
         valid = estimates[~np.isnan(estimates)]
         n_skipped = n_resamples - len(valid)
         if len(valid) < max(10, n_resamples // 2):

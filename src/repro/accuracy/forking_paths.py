@@ -20,7 +20,7 @@ import numpy as np
 from repro.accuracy.hypothesis import correlation_test
 from repro.accuracy.multiple_testing import PROCEDURES, correct
 from repro.exceptions import DataError
-from repro.parallel import pmap, resolve_n_jobs
+from repro.parallel import pmap
 
 # A nod to the paper's list; names cycle when p exceeds the list.
 PREDICTOR_THEMES = (
@@ -104,13 +104,10 @@ def hunt_spurious_predictors(response, predictors,
         raise DataError("names must match the number of predictors")
 
     worker = _PredictorTestTask(predictors, response)
-    if resolve_n_jobs(n_jobs) == 1:
-        p_values = np.array([worker(index) for index in range(n_predictors)])
-    else:
-        p_values = np.array(pmap(
-            worker, range(n_predictors), n_jobs=n_jobs, backend=backend,
-            name="spurious_scan",
-        ))
+    p_values = np.array(pmap(
+        worker, range(n_predictors), n_jobs=n_jobs, backend=backend,
+        name="spurious_scan",
+    ))
     discoveries = {
         procedure: correct(p_values, procedure, alpha).n_rejected
         for procedure in PROCEDURES

@@ -22,12 +22,8 @@ re-implemented at every call site:
   cache outcome (``hit``/``miss``/``uncacheable``) and its logical wait
   behind the level barrier.  Spans are recorded on the coordinator in
   plan order after each level drains, so TickClock telemetry stays
-  byte-identical across reruns (the same post-drain discipline as
-  :meth:`ParallelExecutor._record_chunk`).
-* **Provenance for free.**  Given a
-  :class:`~repro.pipeline.provenance.ProvenanceGraph`, the executor
-  registers every plan input and node output as an artefact and records
-  one step per node — lineage falls out of the plan itself.
+  byte-identical across reruns (completion order never reaches the
+  clock; :class:`ParallelExecutor` records counters only).
 """
 
 from __future__ import annotations
@@ -47,11 +43,6 @@ from repro.parallel.rng import spawn_seeds
 from repro.store.store import NULL_STORE, NullStore, Spilled
 
 _ABSENT = object()
-
-
-def _call_task(task):
-    """Run one node's picklable task inside a process worker."""
-    return task()
 
 
 @dataclass
@@ -146,8 +137,7 @@ class Executor:
 
     def run(self, plan: Plan, inputs: Mapping[str, object] | None = None, *,
             store=None, rng: np.random.Generator | None = None,
-            observer: Callable[[NodeRun], None] | None = None,
-            provenance=None) -> PlanResult:
+            observer: Callable[[NodeRun], None] | None = None) -> PlanResult:
         """Execute every node; returns a :class:`PlanResult`.
 
         ``store=None`` means no caching (:data:`~repro.store.NULL_STORE`
@@ -176,7 +166,6 @@ class Executor:
             )
         telemetry = obs.get()
         tracer = telemetry.tracer if telemetry is not None else None
-        collector = telemetry.collector if telemetry is not None else None
         parent_id = None
         if tracer is not None and tracer.active_span is not None:
             parent_id = tracer.active_span.span_id
@@ -195,15 +184,14 @@ class Executor:
             return cached
 
         runs: list[NodeRun] = []
-        artifact_ids = self._register_inputs(provenance, plan, inputs)
         for level_index, level in enumerate(plan.levels()):
             outcomes = self._run_level(
                 level, results, fp_of, seeds, rng, store, telemetry,
-                parent_id, collector,
+                parent_id,
             )
             # Commit, observe, and record in plan order on the
             # coordinator — completion order never reaches the results,
-            # the provenance graph, or the clock.
+            # the observer, or the clock.
             level_mark = (telemetry.clock.now()
                           if telemetry is not None and len(level) > 1
                           else None)
@@ -213,8 +201,7 @@ class Executor:
                               index=len(runs), level=level_index)
                 runs.append(run)
                 self._record_span(telemetry, parent_id, run, results,
-                                  level_mark, collector)
-                self._record_provenance(provenance, artifact_ids, run)
+                                  level_mark)
                 if observer is not None:
                     observer(run)
         return PlanResult(plan, results, tuple(runs))
@@ -244,7 +231,7 @@ class Executor:
                 in zip(spawn_nodes, children)}
 
     def _thunk(self, node: Node, results: dict, fp_of, seeds: dict,
-               shared_rng, store, collector=None, hold: bool = False):
+               shared_rng, store, telemetry, hold: bool):
         input_values = {name: results[name] for name in node.inputs}
 
         def lazy_key() -> str:
@@ -271,10 +258,10 @@ class Executor:
         def compute():
             return node.run(input_values, node_rng)
 
-        if collector is not None:
+        if telemetry is not None and telemetry.collector is not None:
             # Only actual computation is sampled: cache hits replay
             # inside the store and never reach this wrapper's body.
-            compute = collector.wrap(("node", node.name), compute)
+            compute = telemetry.collector.wrap(("node", node.name), compute)
 
         def thunk():
             if not node.cacheable:
@@ -302,7 +289,7 @@ class Executor:
         return thunk
 
     def _run_level(self, level, results, fp_of, seeds, shared_rng, store,
-                   telemetry, parent_id, collector=None) -> list:
+                   telemetry, parent_id) -> list:
         if (
             self.backend == "process"
             and self.n_jobs > 1
@@ -310,16 +297,16 @@ class Executor:
             and all(node.task is not None for node in level)
         ):
             return self._run_level_process(level, store, telemetry,
-                                           parent_id, collector)
+                                           parent_id)
         hold = sum(node.spill for node in level) == 1
         thunks = [
             self._thunk(node, results, fp_of, seeds, shared_rng, store,
-                        collector, hold)
+                        telemetry, hold)
             for node in level
         ]
         # Shared-rng nodes thread one generator, so any level holding
         # one must run serially; single-node levels gain nothing from a
-        # pool and skip its chunk telemetry entirely.
+        # pool and skip its counters entirely.
         inline = (
             len(level) == 1
             or self.n_jobs == 1
@@ -338,19 +325,9 @@ class Executor:
         try:
             return self._pool.call(thunks)
         except ParallelTaskError as error:
-            failed = level[error.task_index]
-            cause = error.__cause__
-            self._record_error(telemetry, parent_id, failed,
-                               cause if cause is not None else error)
-            if cause is not None:
-                # Callers reason about *their* exceptions (DataError
-                # from a stage, FairnessError from a section); the
-                # fan-out is an implementation detail of the engine.
-                raise cause
-            raise
+            self._raise_node_error(error, level, telemetry, parent_id)
 
-    def _run_level_process(self, level, store, telemetry, parent_id,
-                           collector=None) -> list:
+    def _run_level_process(self, level, store, telemetry, parent_id) -> list:
         """Dispatch a level of task-declaring nodes to process workers.
 
         The shard-map fan-out: every node in the level carries a
@@ -384,17 +361,11 @@ class Executor:
                 n_jobs=self.n_jobs, backend="process", chunk_size=1,
                 name=f"{self.name}.map",
             )
+            nodes = [node for _, node, _ in pending]
             try:
-                values = pool.map(_call_task,
-                                  [node.task for _, node, _ in pending])
+                values = pool.call([node.task for node in nodes])
             except ParallelTaskError as error:
-                failed = pending[error.task_index][1]
-                cause = error.__cause__
-                self._record_error(telemetry, parent_id, failed,
-                                   cause if cause is not None else error)
-                if cause is not None:
-                    raise cause
-                raise
+                self._raise_node_error(error, nodes, telemetry, parent_id)
             for (index, node, key), value in zip(pending, values):
                 if key is None:
                     # Either caching is off or the node opted out — the
@@ -409,7 +380,7 @@ class Executor:
         return outcomes
 
     def _record_span(self, telemetry, parent_id, run: NodeRun,
-                     results: dict, level_mark, collector=None) -> None:
+                     results: dict, level_mark) -> None:
         if telemetry is None:
             return
         node = run.node
@@ -426,12 +397,27 @@ class Executor:
         attributes["n_jobs"] = self.n_jobs
         if level_mark is not None:
             attributes["wait"] = begun - level_mark
-        if collector is not None:
-            attributes.update(collector.attributes(("node", node.name)))
+        if telemetry.collector is not None:
+            attributes.update(
+                telemetry.collector.attributes(("node", node.name))
+            )
         telemetry.tracer.record_span(
             f"{self.name}:{node.label}", begun, ended,
             parent_id=parent_id, **attributes,
         )
+
+    def _raise_node_error(self, error: ParallelTaskError, nodes: list,
+                          telemetry, parent_id) -> None:
+        """Record the failed node's error span, then raise its own error.
+
+        Callers reason about *their* exceptions (DataError from a stage,
+        FairnessError from a section); the fan-out is an implementation
+        detail of the engine.
+        """
+        cause = error.__cause__ if error.__cause__ is not None else error
+        self._record_error(telemetry, parent_id, nodes[error.task_index],
+                           cause)
+        raise cause
 
     def _record_error(self, telemetry, parent_id, node: Node,
                       error: BaseException) -> None:
@@ -444,28 +430,3 @@ class Executor:
             parent_id=parent_id, **dict(node.span_attrs),
             error=type(error).__name__,
         )
-
-    @staticmethod
-    def _register_inputs(provenance, plan: Plan, inputs: dict) -> dict:
-        """Artefact nodes for the plan's external inputs (lineage roots)."""
-        if provenance is None:
-            return {}
-        return {
-            name: provenance.add_value(inputs[name], f"plan input {name}")
-            for name in plan.input_names
-        }
-
-    @staticmethod
-    def _record_provenance(provenance, artifact_ids: dict,
-                           run: NodeRun) -> None:
-        if provenance is None:
-            return
-        node = run.node
-        output = provenance.add_value(run.value, node.label)
-        provenance.record_step(
-            node.label,
-            [artifact_ids[name] for name in node.inputs],
-            [output],
-            node.record_params,
-        )
-        artifact_ids[node.name] = output

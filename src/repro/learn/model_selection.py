@@ -18,7 +18,7 @@ from repro.data.split import k_fold_indices
 from repro.exceptions import DataError
 from repro.learn import metrics as metrics_module
 from repro.learn.base import Classifier
-from repro.parallel import pmap, resolve_n_jobs
+from repro.parallel import pmap
 
 _METRICS = {
     "accuracy": lambda y, p: metrics_module.accuracy(y, (p >= 0.5).astype(float)),
@@ -91,11 +91,8 @@ def cross_val_score(model: Classifier, X, y, n_folds: int,
             raise DataError("cross_val_score needs an rng (or explicit folds)")
         folds = k_fold_indices(len(y), n_folds, rng)
     worker = _FoldScoreTask(model, X, y, metric)
-    if resolve_n_jobs(n_jobs) == 1:
-        scores = [worker(fold) for fold in folds]
-    else:
-        scores = pmap(worker, folds, n_jobs=n_jobs, backend=backend,
-                      chunk_size=1, name="cross_val")
+    scores = pmap(worker, folds, n_jobs=n_jobs, backend=backend,
+                  chunk_size=1, name="cross_val")
     return CVResult(np.asarray(scores), metric)
 
 
@@ -165,11 +162,8 @@ def grid_search(model_factory, grid: dict[str, list], X, y, n_folds: int,
         for combo in itertools.product(*(grid[name] for name in names))
     ]
     worker = _CandidateTask(model_factory, X, y, n_folds, metric, folds)
-    if resolve_n_jobs(n_jobs) == 1:
-        results = [worker(params) for params in candidates]
-    else:
-        results = pmap(worker, candidates, n_jobs=n_jobs, backend=backend,
-                       chunk_size=1, name="grid_search")
+    results = pmap(worker, candidates, n_jobs=n_jobs, backend=backend,
+                   chunk_size=1, name="grid_search")
     trials = list(zip(candidates, results))
     higher = _HIGHER_IS_BETTER[metric]
     best_params, best_result = (

@@ -338,7 +338,7 @@ class Profiler:
                     or record.get("kind") != "counter"):
                 continue
             name = str(record.get("name"))
-            for suffix in ("tasks", "chunks", "retries", "errors",
+            for suffix in ("tasks", "chunks", "errors",
                            "profile.wall_s", "profile.cpu_s"):
                 marker = f".{suffix}"
                 if name.endswith(marker):
@@ -461,14 +461,13 @@ def render_pools(profiler: Profiler) -> str:
         return ""
     rows = [
         [p["pool"], _fmt(p.get("tasks")), _fmt(p.get("chunks")),
-         _fmt(p.get("retries", 0.0)), _fmt(p.get("errors", 0.0)),
+         _fmt(p.get("errors", 0.0)),
          _fmt(p.get("profile.wall_s")), _fmt(p.get("profile.cpu_s"))]
         for p in pools
     ]
     lines = ["parallel pools:"]
     lines += _table(
-        ["pool", "tasks", "chunks", "retries", "errors",
-         "wall_s", "cpu_s"],
+        ["pool", "tasks", "chunks", "errors", "wall_s", "cpu_s"],
         rows,
     )
     return "\n".join(lines)

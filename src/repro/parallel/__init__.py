@@ -7,11 +7,12 @@ as sequential Python loops.  This package gives the whole toolkit one
 sanctioned way to go wide without surrendering reproducibility:
 
 * :class:`ParallelExecutor` / :func:`pmap` — chunked fan-out over a
-  thread pool, a process pool, or a serial fallback, with bounded
-  in-flight chunks, *ordered* reassembly, worker-side error capture
-  that re-raises with task context, and full :mod:`repro.obs`
-  instrumentation (a span per chunk, task/retry/error counters, a
-  chunk-duration histogram).
+  thread pool, a process pool, or a serial fallback, with chunks
+  collected in order on every schedule, worker-side error capture that
+  re-raises the lowest failing task with its context, and
+  :mod:`repro.obs` task/chunk/error counters.  Every resampling helper
+  calls it whatever ``n_jobs`` is, so at every setting a worker's error
+  arrives the same way and the map records its counters.
 * :func:`spawn_seeds` / :func:`spawn_rngs` — per-task RNG streams via
   ``np.random.SeedSequence.spawn``, so randomness is attached to the
   *task*, never to the worker that happens to run it.

@@ -1,4 +1,4 @@
-"""Chunked, bounded, *ordered* fan-out over threads or processes.
+"""Chunked, *ordered* fan-out over threads or processes.
 
 The design constraints, in priority order:
 
@@ -10,16 +10,17 @@ The design constraints, in priority order:
    with the failing task's index and repr, then re-raised on the
    coordinator as :class:`ParallelTaskError` chaining the original
    exception, so a crash deep inside resample 731 of 1000 names
-   resample 731.
-3. **Bounded memory** — at most ``max_inflight`` chunks are submitted
-   at a time, so a million-task map never materialises a million
-   futures.
+   resample 731.  Chunk outcomes are collected in chunk order on every
+   schedule, so when several tasks fail the lowest one is reported,
+   whatever finished first.
 
 Backends: ``"thread"`` (default — zero pickling, fine whenever the hot
 work releases the GIL, e.g. NumPy reductions and model ``predict``
 calls), ``"process"`` (true CPU parallelism; requires picklable
 callables and tasks), and ``"serial"`` (the same code path inline —
-useful to A/B the engine itself out of a measurement).
+useful to A/B the engine itself out of a measurement).  Inline and
+pooled maps feed one collection loop and record the same counters, so
+a worker's error arrives the same way at every ``n_jobs``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from __future__ import annotations
 import os
 import traceback
 from concurrent.futures import (
-    FIRST_COMPLETED,
     Executor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    wait,
 )
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -126,6 +126,24 @@ def _run_chunk(fn: Callable, tasks: Sequence) -> list | _ChunkFailure:
     return results
 
 
+def _pool_outcome(future: Future, chunk: tuple) -> list | _ChunkFailure:
+    """A pooled chunk's outcome, waiting for it if it is still running."""
+    try:
+        return future.result()
+    except Exception as error:  # noqa: BLE001 — re-raised with context
+        # The pool itself failed this chunk (worker died, unpicklable
+        # payload, ...): no worker-side record exists, so synthesise one
+        # for uniform handling.
+        return _ChunkFailure(
+            task_offset=0,
+            task_repr=f"<chunk of {len(chunk[1])} tasks>",
+            error_type=type(error).__qualname__,
+            error_message=str(error),
+            worker_traceback=traceback.format_exc(),
+            exception=error,
+        )
+
+
 class ParallelExecutor:
     """Deterministic chunked map over a worker pool.
 
@@ -140,21 +158,12 @@ class ParallelExecutor:
     chunk_size:
         Tasks per dispatch unit.  Default: enough chunks for ~4 waves
         per worker, so stragglers can rebalance.
-    max_inflight:
-        Upper bound on concurrently submitted chunks (default
-        ``2 * n_jobs``) — bounds coordinator memory on huge maps.
-    retries:
-        How many times a *failed chunk* is resubmitted before the
-        failure propagates.  Only useful for flaky external calls;
-        deterministic numeric work should keep the default 0.
     name:
-        Prefix for telemetry span/metric names.
+        Prefix for telemetry metric names.
     """
 
     def __init__(self, n_jobs: int | None = None, backend: str = "thread",
-                 chunk_size: int | None = None,
-                 max_inflight: int | None = None,
-                 retries: int = 0, name: str = "parallel"):
+                 chunk_size: int | None = None, name: str = "parallel"):
         if backend not in BACKENDS:
             raise DataError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}"
@@ -164,12 +173,6 @@ class ParallelExecutor:
         if chunk_size is not None and chunk_size < 1:
             raise DataError("chunk_size must be >= 1")
         self.chunk_size = chunk_size
-        if max_inflight is not None and max_inflight < 1:
-            raise DataError("max_inflight must be >= 1")
-        self.max_inflight = max_inflight
-        if retries < 0:
-            raise DataError("retries must be >= 0")
-        self.retries = retries
         self.name = name
 
     # -- public API ---------------------------------------------------------
@@ -177,9 +180,10 @@ class ParallelExecutor:
     def map(self, fn: Callable, tasks: Iterable) -> list:
         """Apply ``fn`` to every task; results in task order, always.
 
-        Tasks are grouped into chunks, at most ``max_inflight`` chunks
-        are in flight at once, and finished chunks slot back in by
-        index — completion order never leaks into the output.
+        Tasks are grouped into chunks and chunk outcomes are collected
+        in chunk order, inline or from the pool — completion order never
+        leaks into the output, and when several tasks fail the lowest
+        failing task's :class:`ParallelTaskError` is raised.
         """
         tasks = list(tasks)
         if not tasks:
@@ -201,7 +205,10 @@ class ParallelExecutor:
             fn = collector.wrap(profiled_key, fn)
         try:
             if inline:
-                return self._map_serial(fn, chunks, telemetry)
+                return self._collect(
+                    (_run_chunk(fn, chunk_tasks) for _, chunk_tasks in chunks),
+                    chunks, telemetry,
+                )
             return self._map_pool(fn, chunks, telemetry)
         finally:
             if profiled_key is not None:
@@ -213,8 +220,9 @@ class ParallelExecutor:
         The heterogeneous sibling of :meth:`map`: each task carries its
         own closure, which is how :class:`repro.engine.Executor`
         dispatches the independent ready nodes of one plan level.  The
-        thread/serial backends run closures directly; note closures are
-        rarely picklable, so callers targeting ``"process"`` should
+        thread/serial backends run closures directly; closures are
+        rarely picklable, so callers targeting ``"process"`` pass
+        picklable callables (the engine's shard-map node tasks) or
         coerce to ``"thread"`` first.
         """
         return self.map(_invoke, list(thunks))
@@ -236,90 +244,30 @@ class ParallelExecutor:
             return ProcessPoolExecutor(max_workers=self.n_jobs)
         return ThreadPoolExecutor(max_workers=self.n_jobs)
 
-    def _map_serial(self, fn, chunks, telemetry) -> list:
+    def _map_pool(self, fn, chunks, telemetry) -> list:
+        with self._make_pool() as pool:
+            futures = [pool.submit(_run_chunk, fn, chunk_tasks)
+                       for _, chunk_tasks in chunks]
+            try:
+                return self._collect(map(_pool_outcome, futures, chunks),
+                                     chunks, telemetry)
+            finally:
+                # After a failure, chunks that have not started never run.
+                pool.shutdown(cancel_futures=True)
+
+    def _collect(self, outcomes: Iterable, chunks, telemetry) -> list:
+        """Concatenate chunk outcomes in chunk order; raise the first failure.
+
+        Both schedules deliver outcomes in chunk order, so the failure
+        raised is the lowest failing task's whatever finished first.
+        """
         results: list = []
-        for chunk_index, (start, chunk_tasks) in enumerate(chunks):
-            outcome, attempts = self._run_with_retries_serial(
-                fn, chunk_tasks, telemetry
-            )
+        for chunk_index, ((start, _), outcome) in enumerate(
+            zip(chunks, outcomes)
+        ):
             if isinstance(outcome, _ChunkFailure):
                 self._raise(outcome, start, chunk_index, telemetry)
-            self._record_chunk(telemetry, chunk_index, len(chunk_tasks),
-                               attempts)
             results.extend(outcome)
-        return results
-
-    def _run_with_retries_serial(self, fn, chunk_tasks, telemetry):
-        attempts = 0
-        while True:
-            outcome = _run_chunk(fn, chunk_tasks)
-            attempts += 1
-            if not isinstance(outcome, _ChunkFailure) or attempts > self.retries:
-                return outcome, attempts
-            if telemetry is not None:
-                telemetry.metrics.counter(f"{self.name}.retries").inc()
-
-    def _map_pool(self, fn, chunks, telemetry) -> list:
-        max_inflight = self.max_inflight or 2 * self.n_jobs
-        slots: list = [None] * len(chunks)
-        attempts_used = [1] * len(chunks)
-        with self._make_pool() as pool:
-            pending: dict = {}
-            next_chunk = 0
-
-            def submit(chunk_index: int, attempts: int) -> None:
-                future = pool.submit(_run_chunk, fn, chunks[chunk_index][1])
-                pending[future] = (chunk_index, attempts)
-
-            while next_chunk < len(chunks) and len(pending) < max_inflight:
-                submit(next_chunk, 0)
-                next_chunk += 1
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk_index, attempts = pending.pop(future)
-                    start, chunk_tasks = chunks[chunk_index]
-                    try:
-                        outcome = future.result()
-                    except BaseException as error:
-                        # The pool itself failed this chunk (worker died,
-                        # unpicklable payload, ...): no worker-side record
-                        # exists, so synthesise one for uniform handling.
-                        outcome = _ChunkFailure(
-                            task_offset=0,
-                            task_repr=f"<chunk of {len(chunk_tasks)} tasks>",
-                            error_type=type(error).__qualname__,
-                            error_message=str(error),
-                            worker_traceback=traceback.format_exc(),
-                            exception=error,
-                        )
-                    if isinstance(outcome, _ChunkFailure) and attempts < self.retries:
-                        if telemetry is not None:
-                            telemetry.metrics.counter(
-                                f"{self.name}.retries"
-                            ).inc()
-                        submit(chunk_index, attempts + 1)
-                        continue
-                    attempts_used[chunk_index] = attempts + 1
-                    if isinstance(outcome, _ChunkFailure):
-                        self._raise(outcome, start, chunk_index, telemetry)
-                    slots[chunk_index] = outcome
-                    if next_chunk < len(chunks):
-                        submit(next_chunk, 0)
-                        next_chunk += 1
-        # Chunk telemetry is recorded *after* the pool drains, in chunk
-        # order, with tick values drawn only here — completion order
-        # (which varies run to run) never reaches the clock, so TickClock
-        # exports are byte-identical across reruns of the same
-        # configuration (spans carry the backend and chunk layout, which
-        # legitimately differ across configs).  Wall profiling of a map
-        # belongs around the call: telemetry.timed().
-        results: list = []
-        for chunk_index, chunk_results in enumerate(slots):
-            self._record_chunk(telemetry, chunk_index,
-                               len(chunks[chunk_index][1]),
-                               attempts_used[chunk_index])
-            results.extend(chunk_results)
         return results
 
     def _record_profile(self, telemetry, collector, key) -> None:
@@ -343,21 +291,6 @@ class ParallelExecutor:
             telemetry.metrics.gauge(
                 f"{self.name}.profile.alloc_peak_kb"
             ).set(sample.alloc_peak_kb)
-
-    def _record_chunk(self, telemetry, chunk_index, n_tasks,
-                      attempts) -> None:
-        if telemetry is None:
-            return
-        begun = telemetry.clock.now()
-        ended = telemetry.clock.now()
-        telemetry.tracer.record_span(
-            f"{self.name}.chunk", begun, ended,
-            chunk=chunk_index, tasks=n_tasks,
-            attempts=attempts, backend=self.backend,
-        )
-        telemetry.metrics.histogram(
-            f"{self.name}.chunk.duration"
-        ).observe(ended - begun)
 
     def _raise(self, failure: _ChunkFailure, chunk_start: int,
                chunk_index: int, telemetry) -> None:

@@ -90,24 +90,6 @@ class ProvenanceGraph:
         """Register a table artefact (fingerprinted)."""
         return self.add_artifact("table", fingerprint_table(table), description)
 
-    def add_value(self, value: object, description: str = "") -> Artifact:
-        """Register any value as an artefact, fingerprinted by type.
-
-        Tables get their content fingerprint; everything else (a report
-        section, a model, a scalar) is identified through
-        :func:`repro.store.object_fingerprint`.  This is the hook
-        :class:`repro.engine.Executor` uses to register plan inputs and
-        node outputs, so lineage falls out of the plan itself.
-        """
-        if isinstance(value, Table):
-            return self.add_table(value, description)
-        from repro.store import object_fingerprint
-
-        return self.add_artifact(
-            type(value).__name__.lower(), object_fingerprint(value),
-            description,
-        )
-
     def record_step(self, name: str, inputs: list[Artifact],
                     outputs: list[Artifact],
                     params: dict[str, object] | None = None) -> Step:

@@ -15,7 +15,7 @@ import numpy as np
 from repro.exceptions import DataError
 from repro.learn.base import Classifier
 from repro.learn.metrics import accuracy, roc_auc
-from repro.parallel import pmap, resolve_n_jobs
+from repro.parallel import pmap
 from repro.store import array_fingerprint, object_fingerprint, resolve_store
 from repro.store.fingerprint import code_fingerprint
 
@@ -119,11 +119,8 @@ def permutation_importance(model: Classifier, X, y,
             for feature in range(n_features)
             for _ in range(n_repeats)
         ]
-        if resolve_n_jobs(n_jobs) == 1:
-            flat = [worker(task) for task in tasks]
-        else:
-            flat = pmap(worker, tasks, n_jobs=n_jobs, backend=backend,
-                        name="importance")
+        flat = pmap(worker, tasks, n_jobs=n_jobs, backend=backend,
+                    name="importance")
         drops = np.asarray(flat).reshape(n_features, n_repeats)
         return ImportanceResult(
             feature_names=list(feature_names),

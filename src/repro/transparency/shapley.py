@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.exceptions import DataError
 from repro.learn.base import Classifier
-from repro.parallel import pmap, resolve_n_jobs
+from repro.parallel import pmap
 from repro.store import (
     array_fingerprint,
     code_fingerprint,
@@ -202,15 +202,10 @@ class ShapleyExplainer:
         # All randomness is drawn here, before any fan-out, in the same
         # order the serial loop always drew it.
         orders = [rng.permutation(d) for _ in range(n_permutations)]
-        if resolve_n_jobs(n_jobs) == 1:
-            contributions = [
-                self._permutation_contribution(x, order) for order in orders
-            ]
-        else:
-            contributions = pmap(
-                _ShapleyPermutationTask(self, x), orders,
-                n_jobs=n_jobs, backend=backend, name="shapley",
-            )
+        contributions = pmap(
+            _ShapleyPermutationTask(self, x), orders,
+            n_jobs=n_jobs, backend=backend, name="shapley",
+        )
         # In-order accumulation: each feature receives one addend per
         # permutation, in permutation order — the same float operations
         # the serial loop performs, hence bit-identical results.

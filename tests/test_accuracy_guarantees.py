@@ -36,6 +36,23 @@ def test_bootstrap_ci_validation(rng):
         bootstrap_ci(np.arange(10.0), np.mean, rng, n_resamples=2)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"confidence": 0.0}, "confidence must be in"),
+    ({"confidence": 1.5}, "confidence must be in"),
+    ({"n_resamples": 0}, "at least 10 resamples"),
+    ({"n_resamples": 5}, "at least 10 resamples"),
+])
+def test_bootstrap_paired_ci_validation(kwargs, message):
+    # Rejected before any resample is drawn: the caller's generator is
+    # left exactly where it was.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    labels = np.arange(50.0) % 2
+    with pytest.raises(DataError, match=message):
+        bootstrap_paired_ci(labels, labels, accuracy, rng, **kwargs)
+    assert rng.bit_generator.state == state
+
+
 def test_bootstrap_paired_ci(toy_classification, rng):
     X, y = toy_classification
     model = LogisticRegression().fit(X, y)

@@ -3,8 +3,7 @@
 The contract under test is the one every runner now leans on: a plan's
 results are *bit-identical* for every ``n_jobs``/backend/store
 combination, malformed wiring fails loudly at construction time, and
-caching/observability/provenance all flow through the single executor
-code path.
+caching and observability flow through the single executor code path.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from repro.engine import Executor, Node, Plan, seed_identity
 from repro.exceptions import DataError, PlanError
 from repro.learn.linear import LogisticRegression
 from repro.learn.table_model import TableClassifier
-from repro.pipeline import ProvenanceGraph
 from repro.store import ArtifactStore
 
 
@@ -319,23 +317,6 @@ def test_annotate_adds_result_derived_attributes():
     assert span.attributes["cache"] == "uncacheable"
 
 
-# -- provenance ---------------------------------------------------------------
-
-
-def test_executor_records_plan_lineage():
-    graph = ProvenanceGraph()
-    Executor().run(
-        _make_plan(), {"base": BASE},
-        rng=np.random.default_rng(5), provenance=graph,
-    )
-    assert graph.n_steps == 3            # one step per node
-    assert graph.n_artifacts == 4        # plan input + three outputs
-    nxg = graph.to_networkx()
-    names = [data["node"].name for _, data in nxg.nodes(data=True)
-             if data["bipartite"] == "step"]
-    assert names == ["left", "right", "merge"]
-
-
 # -- the auditor's pillar plan (RNG stream isolation regression) -------------
 
 
@@ -382,6 +363,22 @@ def test_audit_byte_identical_across_n_jobs_and_backends(audit_subject):
         assert report.fingerprint() == reference, (
             f"n_jobs={n_jobs} backend={backend}"
         )
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_audit_telemetry_identical_across_reruns(audit_subject, backend):
+    # At n_jobs=2 the pillar sections run their resampling maps on two
+    # engine threads at once; which map drains first must not reach the
+    # TickClock export.
+    exports = []
+    for _ in range(3):
+        telemetry = obs.configure()
+        try:
+            _audit(audit_subject, n_jobs=2, backend=backend)
+            exports.append(telemetry.to_dicts())
+        finally:
+            obs.reset()
+    assert exports[0] == exports[1] == exports[2]
 
 
 def test_audit_sections_isolated_from_each_other(audit_subject):

@@ -7,6 +7,9 @@ worker crash must surface on the coordinator carrying the index and
 repr of the task that died.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,20 @@ def _explode_on_13(task):
     if task == 13:
         raise ValueError("unlucky task")
     return task
+
+
+def _fail_3_late_and_30_early(task):
+    if task == 3:
+        time.sleep(0.3)
+        raise ValueError("task 3 failed late")
+    if task == 30:
+        raise ValueError("task 30 failed early")
+    return task
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def _make_logreg(l2):
@@ -74,8 +91,6 @@ def test_executor_rejects_bad_configuration():
     with pytest.raises(DataError):
         ParallelExecutor(chunk_size=0)
     with pytest.raises(DataError):
-        ParallelExecutor(retries=-1)
-    with pytest.raises(DataError):
         ParallelExecutor(n_jobs=0)
 
 
@@ -91,12 +106,6 @@ def test_resolve_n_jobs_env_and_all_cores(monkeypatch):
     assert resolve_n_jobs(-1) >= 1
 
 
-def test_bounded_inflight_still_covers_all_chunks():
-    tasks = list(range(200))
-    executor = ParallelExecutor(n_jobs=2, chunk_size=3, max_inflight=2)
-    assert executor.map(_square, tasks) == [t * t for t in tasks]
-
-
 def test_telemetry_records_chunks_tasks_and_spans():
     telemetry = obs.configure()
     try:
@@ -104,13 +113,49 @@ def test_telemetry_records_chunks_tasks_and_spans():
              name="testmap")
         assert telemetry.metrics.counter("testmap.tasks").value == 40.0
         assert telemetry.metrics.counter("testmap.chunks").value == 4.0
-        chunk_spans = [s for s in telemetry.tracer.spans
-                       if s.name == "testmap.chunk"]
-        assert len(chunk_spans) == 4
-        assert all(s.finished for s in chunk_spans)
-        assert sorted(s.attributes["chunk"] for s in chunk_spans) == [0, 1, 2, 3]
+        with pytest.raises(ParallelTaskError):
+            pmap(_explode_on_13, list(range(30)), n_jobs=2, chunk_size=4,
+                 name="testmap")
+        assert telemetry.metrics.counter("testmap.errors").value == 1.0
+        # Counters only: a map opens no span, so completion order never
+        # reaches the clock.
+        assert not telemetry.tracer.spans
     finally:
         obs.reset()
+
+
+def test_helpers_record_pool_counters_at_every_n_jobs():
+    for n_jobs in (1, 2):
+        telemetry = obs.configure()
+        try:
+            bootstrap_ci(np.arange(30.0), np.mean, np.random.default_rng(0),
+                         n_resamples=20, n_jobs=n_jobs)
+            assert telemetry.metrics.counter("bootstrap.tasks").value == 20.0
+        finally:
+            obs.reset()
+
+
+def test_concurrent_maps_leave_the_same_export_whichever_finishes_first():
+    exports = []
+    for delays in ((0.0, 0.2), (0.2, 0.0)):
+        telemetry = obs.configure()
+        try:
+            threads = [
+                threading.Thread(target=pmap, args=(_nap, [delay] * 4),
+                                 kwargs={"n_jobs": 2, "name": name})
+                for name, delay in zip(("first", "second"), delays)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            exports.append(telemetry.to_dicts())
+        finally:
+            obs.reset()
+    assert exports[0] == exports[1]
+    names = {record["name"] for record in exports[0]}
+    assert {"first.tasks", "second.tasks"} <= names
 
 
 # -- worker crashes ---------------------------------------------------------
@@ -134,17 +179,78 @@ def test_worker_crash_chains_original_exception():
     assert isinstance(excinfo.value.__cause__, ValueError)
 
 
-def test_retries_recover_nothing_for_deterministic_failures():
-    telemetry = obs.configure()
-    try:
-        executor = ParallelExecutor(n_jobs=2, retries=2, chunk_size=4,
-                                    name="retrying")
-        with pytest.raises(ParallelTaskError):
-            executor.map(_explode_on_13, list(range(30)))
-        assert telemetry.metrics.counter("retrying.retries").value == 2.0
-        assert telemetry.metrics.counter("retrying.errors").value == 1.0
-    finally:
-        obs.reset()
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_lowest_failing_task_is_raised_whatever_finishes_first(backend):
+    # Task 3 fails after task 30 has already failed on the other worker;
+    # chunks are collected in order, so task 3 is the one reported.
+    with pytest.raises(ParallelTaskError) as excinfo:
+        pmap(_fail_3_late_and_30_early, list(range(40)), n_jobs=2,
+             backend=backend, chunk_size=1)
+    assert excinfo.value.task_index == 3
+    assert str(excinfo.value.__cause__) == "task 3 failed late"
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("worker failed")
+
+
+class _FailingFit:
+    """A classifier whose every fit fails."""
+
+    def clone(self):
+        return _FailingFit()
+
+    def fit(self, X, y):
+        _fail()
+
+
+def _make_failing(l2):
+    return _FailingFit()
+
+
+class _FailsAfterBaseline:
+    """Scores the unshuffled baseline, then fails on every shuffled copy."""
+
+    def __init__(self):
+        self.scored_baseline = False
+
+    def predict_proba(self, matrix):
+        if self.scored_baseline:
+            _fail()
+        self.scored_baseline = True
+        return np.full(len(matrix), 0.5)
+
+
+_FAILING_HELPERS = {
+    "bootstrap_ci": lambda X, y, n_jobs: bootstrap_ci(
+        y, _fail, np.random.default_rng(0), n_resamples=20, n_jobs=n_jobs),
+    "bootstrap_paired_ci": lambda X, y, n_jobs: bootstrap_paired_ci(
+        y, y, _fail, np.random.default_rng(0), n_resamples=20,
+        n_jobs=n_jobs),
+    "permutation_importance": lambda X, y, n_jobs: permutation_importance(
+        _FailsAfterBaseline(), X, y, np.random.default_rng(0), n_repeats=2,
+        n_jobs=n_jobs),
+    "cross_val_score": lambda X, y, n_jobs: cross_val_score(
+        _FailingFit(), X, y, 3, np.random.default_rng(0), n_jobs=n_jobs),
+    "grid_search": lambda X, y, n_jobs: grid_search(
+        _make_failing, {"l2": [0.1, 1.0]}, X, y, 3,
+        np.random.default_rng(0), n_jobs=n_jobs),
+}
+
+
+@pytest.mark.parametrize("helper", sorted(_FAILING_HELPERS))
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_worker_errors_arrive_the_same_way_at_every_n_jobs(
+        helper, n_jobs, fitted_model):
+    _, X, y = fitted_model
+    with pytest.raises(ParallelTaskError) as excinfo:
+        _FAILING_HELPERS[helper](X, y, n_jobs)
+    # grid_search nests cross_val_score's map: two ParallelTaskErrors.
+    error = excinfo.value
+    while isinstance(error, ParallelTaskError):
+        error = error.__cause__
+    assert isinstance(error, RuntimeError)
+    assert str(error) == "worker failed"
 
 
 # -- RNG spawning -----------------------------------------------------------
@@ -278,15 +384,14 @@ def _buggy_metric(y_true, y_pred):
 
 
 def test_paired_ci_reraises_unexpected_metric_errors(rng):
-    # Serially the metric's own exception propagates raw; in parallel it
-    # arrives wrapped with task context, chaining the original.
-    with pytest.raises(RuntimeError):
-        bootstrap_paired_ci(np.arange(20.0), np.arange(20.0), _buggy_metric,
-                            rng, n_resamples=50, n_jobs=1)
-    with pytest.raises(ParallelTaskError) as excinfo:
-        bootstrap_paired_ci(np.arange(20.0), np.arange(20.0), _buggy_metric,
-                            rng, n_resamples=50, n_jobs=2)
-    assert isinstance(excinfo.value.__cause__, RuntimeError)
+    # At every n_jobs the metric's own exception arrives wrapped with
+    # task context, chaining the original.
+    for n_jobs in (1, 2):
+        with pytest.raises(ParallelTaskError) as excinfo:
+            bootstrap_paired_ci(np.arange(20.0), np.arange(20.0),
+                                _buggy_metric, rng, n_resamples=50,
+                                n_jobs=n_jobs)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
 def test_paired_ci_parallel_matches_serial_including_skips():
