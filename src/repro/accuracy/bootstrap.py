@@ -12,6 +12,16 @@ evaluation is embarrassingly parallel: pass ``n_jobs`` to fan it out
 via :mod:`repro.parallel` with results guaranteed identical for any
 ``n_jobs`` and backend (randomness is fixed before the first worker
 starts, and estimates are assembled by resample index).
+
+A paired metric may carry a ``resampler`` attribute, as
+:func:`~repro.learn.metrics.roc_auc` does:
+``metric.resampler(y_true, y_pred)`` returns a picklable worker mapping
+an index array to the metric's value on those rows (NaN when the
+resample is degenerate), bit-identical to
+``metric(y_true[idx], y_pred[idx])``, or ``None`` for a sample it cannot
+handle.  :func:`bootstrap_paired_ci` uses that worker when there is one
+and re-runs the metric on every resample otherwise.  ``functools.wraps``
+copies the attribute, so wrapped metrics keep the faster path.
 """
 
 from __future__ import annotations
@@ -26,9 +36,10 @@ from repro.parallel import pmap
 from repro.store import array_fingerprint, code_fingerprint, resolve_store
 
 #: Degenerate-resample failures a paired bootstrap may legitimately skip:
-#: a resample with a single class breaks AUC (ValueError), an empty group
-#: divides by zero, and library metrics signal bad slices with DataError.
-#: Anything else is a real bug in the metric and propagates.
+#: library metrics signal bad slices with DataError (a resample with a
+#: single class breaks AUC), an empty group divides by zero, and other
+#: metrics may reject a slice with ValueError.  Anything else is a real
+#: bug in the metric and propagates.
 _DEGENERATE_ERRORS = (ValueError, ZeroDivisionError, DataError)
 
 
@@ -159,6 +170,8 @@ def bootstrap_paired_ci(y_true, y_pred,
     Rows are resampled jointly, preserving the pairing — this is how the
     FACT report attaches intervals to accuracy, AUC, or any group metric.
 
+    The metric scores the whole sample first, so a sample it rejects
+    raises the metric's own error before any resample is drawn.
     Resamples that are degenerate for the metric (single-class AUC and
     friends — :data:`_DEGENERATE_ERRORS`) are skipped and *counted* in
     the result's ``n_skipped``; any other exception from the metric is a
@@ -180,9 +193,15 @@ def bootstrap_paired_ci(y_true, y_pred,
         raise DataError("need at least 10 resamples")
 
     def compute() -> IntervalEstimate:
+        # Scored first, so a sample the metric rejects fails with the
+        # metric's own error before the generator is touched.
+        estimate = float(metric(y_true, y_pred))
         n = len(y_true)
         indices = rng.integers(0, n, size=(n_resamples, n))
-        worker = _ResampleMetric(y_true, y_pred, metric)
+        resampler = getattr(metric, "resampler", None)
+        worker = resampler(y_true, y_pred) if resampler else None
+        if worker is None:
+            worker = _ResampleMetric(y_true, y_pred, metric)
         estimates = np.array(pmap(
             worker, list(indices), n_jobs=n_jobs, backend=backend,
             name="bootstrap",
@@ -196,7 +215,7 @@ def bootstrap_paired_ci(y_true, y_pred,
         alpha = 1.0 - confidence
         lower, upper = np.quantile(valid, [alpha / 2.0, 1.0 - alpha / 2.0])
         return IntervalEstimate(
-            estimate=float(metric(y_true, y_pred)), lower=float(lower),
+            estimate=estimate, lower=float(lower),
             upper=float(upper), confidence=confidence,
             n_resamples=len(valid), n_skipped=n_skipped,
         )

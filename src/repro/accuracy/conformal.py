@@ -98,34 +98,47 @@ class SplitConformalClassifier:
         )
         return self
 
-    def predict_sets(self, X) -> list[PredictionSet]:
-        """Prediction sets with ≥ 1-alpha marginal coverage."""
+    def _membership(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``X``: is label 0 in its set, is label 1 in its set."""
         if self._quantile is None:
             raise NotFittedError("calibrate() must run before predict_sets()")
-        probabilities = self.model.predict_proba(X)
-        sets = []
-        for p in probabilities:
-            labels = []
-            if 1.0 - (1.0 - p) <= self._quantile + 1e-12:  # score of label 0
-                labels.append(0.0)
-            if 1.0 - p <= self._quantile + 1e-12:          # score of label 1
-                labels.append(1.0)
-            if not labels:  # numerical corner: keep validity with full set
-                labels = [0.0, 1.0]
-            sets.append(PredictionSet(tuple(labels)))
-        return sets
+        probabilities = np.asarray(self.model.predict_proba(X))
+        threshold = self._quantile + 1e-12
+        has0 = 1.0 - (1.0 - probabilities) <= threshold  # score of label 0
+        has1 = 1.0 - probabilities <= threshold          # score of label 1
+        empty = ~(has0 | has1)  # numerical corner: keep validity with full set
+        return has0 | empty, has1 | empty
+
+    def predict_sets(self, X) -> list[PredictionSet]:
+        """Prediction sets with ≥ 1-alpha marginal coverage."""
+        has0, has1 = self._membership(X)
+        sets = {
+            (True, False): PredictionSet((0.0,)),
+            (False, True): PredictionSet((1.0,)),
+            (True, True): PredictionSet((0.0, 1.0)),
+        }
+        return [sets[row] for row in zip(has0.tolist(), has1.tolist())]
+
+    def covered(self, X, y_true) -> np.ndarray:
+        """Per row: does its prediction set contain the true label?
+
+        As with :meth:`PredictionSet.covers`, a label other than 0 or 1
+        (NaN included) is never covered.
+        """
+        y_true = np.asarray(y_true, dtype=np.float64)
+        has0, has1 = self._membership(X)
+        if y_true.shape != has0.shape:
+            raise DataError("y_true must align with X")
+        return ((y_true == 0.0) & has0) | ((y_true == 1.0) & has1)
 
     def coverage(self, X, y_true) -> float:
         """Empirical fraction of prediction sets containing the truth."""
-        y_true = np.asarray(y_true, dtype=np.float64)
-        sets = self.predict_sets(X)
-        return float(np.mean([
-            s.covers(label) for s, label in zip(sets, y_true)
-        ]))
+        return float(np.mean(self.covered(X, y_true)))
 
     def mean_set_size(self, X) -> float:
         """Average set cardinality (1.0 = maximally informative)."""
-        return float(np.mean([s.size for s in self.predict_sets(X)]))
+        has0, has1 = self._membership(X)
+        return float(np.mean(has0.astype(np.int64) + has1))
 
 
 class GroupConditionalConformalClassifier:

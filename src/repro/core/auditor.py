@@ -447,17 +447,13 @@ class FACTAuditor:
             conformal.calibrate(X_cal, model.labels(calibration),
                                 store=store)
             X_test = arrays["X"]
-            coverage = conformal.coverage(X_test, labels)
+            covered = conformal.covered(X_test, labels)
+            coverage = float(np.mean(covered))
             set_size = conformal.mean_set_size(X_test)
             # The E4b check: does the (marginal) guarantee hold within
             # each protected group, or only on average?
             if sensitive_names:
                 values = arrays["sensitive"][sensitive_names[0]]
-                sets = conformal.predict_sets(X_test)
-                covered = np.asarray([
-                    prediction_set.covers(label)
-                    for prediction_set, label in zip(sets, labels)
-                ])
                 by_group = {
                     value: float(covered[values == value].mean())
                     for value in np.unique(values)

@@ -112,6 +112,16 @@ def f1_score(y_true, y_pred) -> float:
     return confusion_matrix(y_true, y_pred).f1
 
 
+def _tie_runs(sorted_scores: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in ``sorted_scores``.
+
+    ``NaN != NaN``, so every NaN score is a run of its own.
+    """
+    starts = np.ones(len(sorted_scores), dtype=bool)
+    np.not_equal(sorted_scores[1:], sorted_scores[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def roc_auc(y_true, scores) -> float:
     """Area under the ROC curve via the rank (Mann-Whitney) formulation.
 
@@ -123,21 +133,69 @@ def roc_auc(y_true, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC AUC requires both classes present")
     order = np.argsort(scores, kind="stable")
+    starts = _tie_runs(scores[order])
+    ends = np.append(starts[1:], len(scores)) - 1
     ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    index = 0
-    while index < len(scores):
-        tie_end = index
-        while (tie_end + 1 < len(scores)
-               and sorted_scores[tie_end + 1] == sorted_scores[index]):
-            tie_end += 1
-        midrank = 0.5 * (index + tie_end) + 1.0
-        ranks[order[index:tie_end + 1]] = midrank
-        index = tie_end + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     positive_rank_sum = ranks[y_true == 1.0].sum()
     return float(
         (positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     )
+
+
+class _AUCResampler:
+    """``roc_auc`` of bootstrap resamples, counted over one shared sort.
+
+    A resample only changes how many copies of each row there are, so
+    the sample's stable order and tie runs serve every resample: a run
+    holding ``count`` copies that end at sorted position ``end`` gets
+    the midrank ``0.5 * (2*end - count - 1) + 1.0``, the loop's value
+    for that run.  Midranks are multiples of 0.5 and the positive-rank
+    sum is at most n(n+1)/2, so for fewer than ~6.7e7 rows every partial
+    sum is exact and the result is bit-identical to ``roc_auc`` on the
+    resample.
+    """
+
+    __slots__ = ("order", "positive", "starts")
+
+    def __init__(self, y_true: np.ndarray, scores: np.ndarray):
+        self.order = np.argsort(scores, kind="stable")
+        self.positive = y_true[self.order] == 1.0
+        self.starts = _tie_runs(scores[self.order])
+
+    def __call__(self, idx: np.ndarray) -> float:
+        """AUC of rows ``idx``; NaN when the resample has one class."""
+        copies = np.bincount(idx, minlength=len(self.order))[self.order]
+        counts = np.add.reduceat(copies, self.starts)
+        positives = np.add.reduceat(copies * self.positive, self.starts)
+        n_pos = int(positives.sum())
+        n_neg = len(idx) - n_pos
+        if n_pos == 0 or n_neg == 0:
+            return float("nan")
+        midranks = 0.5 * (2 * np.cumsum(counts) - counts - 1) + 1.0
+        positive_rank_sum = midranks @ positives
+        return float(
+            (positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        )
+
+
+def _auc_resampler(y_true, scores) -> _AUCResampler | None:
+    """The counting worker for bootstraps of ``roc_auc``, or ``None``.
+
+    A NaN score is its own tie run, so duplicated NaN rows rank by their
+    position in the resample, which counts cannot reproduce: such
+    samples keep the per-resample path.
+    """
+    y_true, scores = _check_pair(y_true, scores)
+    if np.isnan(scores).any():
+        return None
+    return _AUCResampler(y_true, scores)
+
+
+#: The bootstrap's counting path (see ``bootstrap_paired_ci``).  An
+#: attribute, not an identity check, so wrappers built with
+#: ``functools.wraps`` keep it.
+roc_auc.resampler = _auc_resampler
 
 
 def roc_curve(y_true, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

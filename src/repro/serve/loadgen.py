@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.serve.config import ServeConfig
 from repro.serve.protocol import QueryRequest
 from repro.serve.server import QueryServer
 
@@ -179,32 +178,3 @@ def run_load(server: QueryServer, requests: list, *,
         cache=stats["cache"],
     )
 
-
-def run_zipf_load(*, n_queries: int = 20_000, n_rows: int = 5_000,
-                  n_tenants: int = 16, n_shapes: int = 64,
-                  zipf_s: float = 1.2, mean_burst: int = 256,
-                  seed: int = 0, config: ServeConfig | None = None,
-                  ) -> LoadReport:
-    """Build a census table + server, run the Zipf workload end to end.
-
-    The one-call entry point for an end-to-end Zipf load run.
-    ``config`` defaults to a batching configuration
-    (2 ms window) with a per-tenant budget big enough that the workload
-    is bounded by serving speed, not ε exhaustion.
-    """
-    from repro.data.synth import CensusIncomeGenerator
-
-    if config is None:
-        # Open-loop submission: the bounded queue must hold the whole
-        # workload (shedding is a correctness feature, not a benchmark).
-        config = ServeConfig(workers=2, seed=seed, batch_window_ms=2.0,
-                             max_queue_depth=max(4096, n_queries),
-                             default_epsilon_budget=1e9)
-    table = CensusIncomeGenerator().generate(
-        n_rows, np.random.default_rng(np.random.SeedSequence([seed, 0x7AB]))
-    )
-    requests = zipf_workload(n_queries, n_tenants=n_tenants,
-                             n_shapes=n_shapes, zipf_s=zipf_s, seed=seed)
-    with QueryServer(config) as server:
-        server.register_table(TABLE_NAME, table)
-        return run_load(server, requests, mean_burst=mean_burst, seed=seed)

@@ -10,7 +10,7 @@ from repro.accuracy.conformal import (
 )
 from repro.exceptions import DataError, NotFittedError
 from repro.learn import LogisticRegression, RidgeRegression
-from repro.learn.metrics import accuracy
+from repro.learn.metrics import accuracy, roc_auc
 
 
 def test_bootstrap_ci_covers_true_mean(rng):
@@ -50,6 +50,19 @@ def test_bootstrap_paired_ci_validation(kwargs, message):
     labels = np.arange(50.0) % 2
     with pytest.raises(DataError, match=message):
         bootstrap_paired_ci(labels, labels, accuracy, rng, **kwargs)
+    assert rng.bit_generator.state == state
+
+
+def test_bootstrap_paired_ci_scores_the_sample_before_drawing():
+    # A sample the metric itself rejects fails with the metric's own
+    # error, before a single resample is drawn.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    scores = np.random.default_rng(1).random(50)
+    with pytest.raises(DataError,
+                       match="ROC AUC requires both classes present"):
+        bootstrap_paired_ci(np.zeros(50), scores, roc_auc, rng,
+                            n_resamples=200)
     assert rng.bit_generator.state == state
 
 

@@ -208,6 +208,19 @@ def _make_failing(l2):
     return _FailingFit()
 
 
+class _FailsAfterEstimate:
+    """A metric that scores the whole sample, then fails on every resample."""
+
+    def __init__(self):
+        self.scored_sample = False
+
+    def __call__(self, y_true, y_pred):
+        if self.scored_sample:
+            _fail()
+        self.scored_sample = True
+        return 0.5
+
+
 class _FailsAfterBaseline:
     """Scores the unshuffled baseline, then fails on every shuffled copy."""
 
@@ -225,8 +238,8 @@ _FAILING_HELPERS = {
     "bootstrap_ci": lambda X, y, n_jobs: bootstrap_ci(
         y, _fail, np.random.default_rng(0), n_resamples=20, n_jobs=n_jobs),
     "bootstrap_paired_ci": lambda X, y, n_jobs: bootstrap_paired_ci(
-        y, y, _fail, np.random.default_rng(0), n_resamples=20,
-        n_jobs=n_jobs),
+        y, y, _FailsAfterEstimate(), np.random.default_rng(0),
+        n_resamples=20, n_jobs=n_jobs),
     "permutation_importance": lambda X, y, n_jobs: permutation_importance(
         _FailsAfterBaseline(), X, y, np.random.default_rng(0), n_repeats=2,
         n_jobs=n_jobs),
@@ -367,16 +380,17 @@ def _auc_metric(y_true, y_pred):
 
 def test_paired_ci_counts_degenerate_skips():
     # A tiny, heavily imbalanced sample yields some single-class
-    # resamples; AUC raises on those and they must be counted, not
-    # silently vanish.
+    # resamples; AUC raises on those (or, counting, returns NaN) and they
+    # must be counted, not silently vanish.
     g = np.random.default_rng(31)
     y_true = np.array([1.0] + [0.0] * 11)
     y_pred = g.random(12)
-    interval = bootstrap_paired_ci(y_true, y_pred, _auc_metric,
-                                   np.random.default_rng(37),
-                                   n_resamples=200)
-    assert interval.n_skipped > 0
-    assert interval.n_resamples + interval.n_skipped == 200
+    for metric in (_auc_metric, roc_auc):
+        interval = bootstrap_paired_ci(y_true, y_pred, metric,
+                                       np.random.default_rng(37),
+                                       n_resamples=200)
+        assert interval.n_skipped > 0
+        assert interval.n_resamples + interval.n_skipped == 200
 
 
 def _buggy_metric(y_true, y_pred):
@@ -384,12 +398,16 @@ def _buggy_metric(y_true, y_pred):
 
 
 def test_paired_ci_reraises_unexpected_metric_errors(rng):
-    # At every n_jobs the metric's own exception arrives wrapped with
-    # task context, chaining the original.
+    # A bug that breaks the whole sample surfaces as itself, before any
+    # resample is drawn.  One that breaks only resamples arrives, at
+    # every n_jobs, wrapped with task context, chaining the original.
+    with pytest.raises(RuntimeError, match="metric bug"):
+        bootstrap_paired_ci(np.arange(20.0), np.arange(20.0),
+                            _buggy_metric, rng, n_resamples=50)
     for n_jobs in (1, 2):
         with pytest.raises(ParallelTaskError) as excinfo:
             bootstrap_paired_ci(np.arange(20.0), np.arange(20.0),
-                                _buggy_metric, rng, n_resamples=50,
+                                _FailsAfterEstimate(), rng, n_resamples=50,
                                 n_jobs=n_jobs)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
@@ -398,9 +416,36 @@ def test_paired_ci_parallel_matches_serial_including_skips():
     g = np.random.default_rng(41)
     y_true = (g.random(40) < 0.3).astype(np.float64)
     y_pred = g.random(40)
-    serial = bootstrap_paired_ci(y_true, y_pred, _auc_metric,
-                                 np.random.default_rng(43), n_resamples=150)
-    parallel = bootstrap_paired_ci(y_true, y_pred, _auc_metric,
-                                   np.random.default_rng(43),
-                                   n_resamples=150, n_jobs=4)
-    assert parallel == serial
+    for metric in (_auc_metric, roc_auc):
+        serial = bootstrap_paired_ci(y_true, y_pred, metric,
+                                     np.random.default_rng(43),
+                                     n_resamples=150)
+        parallel = bootstrap_paired_ci(y_true, y_pred, metric,
+                                       np.random.default_rng(43),
+                                       n_resamples=150, n_jobs=4)
+        assert parallel == serial
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_paired_auc_counting_path_matches_per_resample_path(n_jobs,
+                                                            backend):
+    # roc_auc carries a resampler, so its bootstrap counts row copies
+    # over one shared sort; _auc_metric has none and re-runs roc_auc on
+    # every resample.  Intervals and skip counts must agree exactly.
+    g = np.random.default_rng(47)
+    samples = [
+        ((g.random(40) < 0.3).astype(np.float64), np.round(g.random(40), 1)),
+        (np.array([1.0] + [0.0] * 11), g.random(12)),
+    ]
+    skipped = 0
+    for y_true, y_pred in samples:
+        counted, per_resample = (
+            bootstrap_paired_ci(y_true, y_pred, metric,
+                                np.random.default_rng(53), n_resamples=150,
+                                n_jobs=n_jobs, backend=backend)
+            for metric in (roc_auc, _auc_metric)
+        )
+        assert counted == per_resample
+        skipped += counted.n_skipped
+    assert skipped > 0
