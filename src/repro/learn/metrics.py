@@ -148,12 +148,12 @@ class _AUCResampler:
 
     A resample only changes how many copies of each row there are, so
     the sample's stable order and tie runs serve every resample: a run
-    holding ``count`` copies that end at sorted position ``end`` gets
-    the midrank ``0.5 * (2*end - count - 1) + 1.0``, the loop's value
-    for that run.  Midranks are multiples of 0.5 and the positive-rank
-    sum is at most n(n+1)/2, so for fewer than ~6.7e7 rows every partial
-    sum is exact and the result is bit-identical to ``roc_auc`` on the
-    resample.
+    whose ``count`` copies fill sorted positions ``end - count`` to
+    ``end - 1`` gets the midrank ``0.5 * (2*end - count - 1) + 1.0``,
+    the loop's value for that run.  Midranks are multiples of 0.5 and
+    the positive-rank sum is at most n(n+1)/2, so for fewer than ~6.7e7
+    rows every partial sum is exact and the result is bit-identical to
+    ``roc_auc`` on the resample.
     """
 
     __slots__ = ("order", "positive", "starts")
