@@ -221,9 +221,9 @@ class FACTAuditor:
                                       pipeline_result, store)
 
         sections = [
-            combine_node("fairness", maps, fairness_fn, store=store,
+            combine_node("fairness", maps, fairness_fn,
                          code=FACTAuditor._fairness, tags=tags),
-            combine_node("accuracy", maps, accuracy_fn, store=store,
+            combine_node("accuracy", maps, accuracy_fn,
                          params=lambda: {
                              "conformal_alpha": self.conformal_alpha,
                              "n_bootstrap": self.n_bootstrap,
@@ -235,7 +235,6 @@ class FACTAuditor:
                          code=FACTAuditor._accuracy,
                          rng="spawn", tags=tags),
             combine_node("confidentiality", maps, confidentiality_fn,
-                         store=store,
                          params={"accountant": None if accountant is None
                                  else {
                                      "epsilon_spent": accountant.epsilon_spent,
@@ -244,7 +243,7 @@ class FACTAuditor:
                                  }},
                          code=FACTAuditor._confidentiality,
                          tags=tags),
-            combine_node("transparency", maps, transparency_fn, store=store,
+            combine_node("transparency", maps, transparency_fn,
                          params={"surrogate_depth": self.surrogate_depth,
                                  "top_features": self.top_features,
                                  "pipeline": None if pipeline_result is None

@@ -6,11 +6,11 @@ not be re-implemented ad hoc at every call site.  This package is that
 substrate: a :class:`Node` is one named pure computation with declared
 inputs and an auto-derived cache key, a :class:`Plan` is a validated DAG
 of them with a deterministic schedule, and an :class:`Executor` runs the
-plan level by level — concurrently via :mod:`repro.parallel`, memoised
-through any :class:`~repro.store.ArtifactStore` (or none, via
-:data:`~repro.store.NULL_STORE`, with zero fingerprinting cost), traced
-through :mod:`repro.obs`, and recorded into a
-:class:`~repro.pipeline.provenance.ProvenanceGraph`.
+plan level by level — its coordinator keys, looks up and commits every
+node in an :class:`~repro.store.ArtifactStore` (or, without one, keys
+nothing and pays no fingerprinting cost), the misses fan out via
+:mod:`repro.parallel`, and every node is traced through :mod:`repro.obs`
+and recorded into a :class:`~repro.pipeline.provenance.ProvenanceGraph`.
 
 Two subsystems run on it:
 

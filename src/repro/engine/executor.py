@@ -12,11 +12,12 @@ re-implemented at every call site:
   the coordinator, so every result is bit-identical for every
   ``n_jobs``/backend combination — parallelism changes wall-clock,
   never bytes.
-* **One caching code path.**  Every node goes through
-  ``store.memoize_with_status``; callers without a store get
-  :data:`repro.store.NULL_STORE`, whose lazy key/tags callables are
-  never evaluated — no ``if store is None`` branches anywhere, and no
-  fingerprinting cost when caching is off.
+* **One node runner.**  For each level the coordinator keys, looks up
+  and commits every node in plan order, and only the misses fan out,
+  in one :meth:`ParallelExecutor.call` — as picklable node tasks on
+  process workers, or as node computations on threads — so workers
+  only compute.  A run without a store keys nothing, so it pays no
+  fingerprinting cost.
 * **Observability per node.**  With :mod:`repro.obs` configured, each
   node gets a span named ``{executor.name}:{node.label}`` carrying the
   cache outcome (``hit``/``miss``/``uncacheable``) and its logical wait
@@ -28,7 +29,6 @@ re-implemented at every call site:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -40,7 +40,7 @@ from repro.engine.plan import Plan
 from repro.exceptions import PlanError
 from repro.parallel.executor import ParallelExecutor, ParallelTaskError
 from repro.parallel.rng import spawn_seeds
-from repro.store.store import NULL_STORE, NullStore, Spilled
+from repro.store.store import Spilled
 
 _ABSENT = object()
 
@@ -112,13 +112,17 @@ class Executor:
         Fan-out within a level; ``None`` defers to ``$REPRO_N_JOBS``
         then 1, ``-1`` uses every core.
     backend:
-        ``"serial"``, ``"thread"``, or ``"process"``.  Node thunks are
-        closures, which processes cannot pickle, so ``"process"`` is
-        coerced to ``"thread"`` at the node level — node *internals*
-        (e.g. a section's own resampling ``pmap``) still honour the
-        requested backend through their own parameters.
+        ``"serial"``, ``"thread"``, or ``"process"``.  A level's misses
+        run as process map tasks only when every one of them carries a
+        picklable ``task`` (the shard maps) and ``n_jobs > 1``; node
+        computations are closures, so otherwise ``"process"`` runs them
+        on threads — node *internals* (e.g. a section's own resampling
+        ``pmap``) still honour the requested backend through their own
+        parameters.
     name:
         Span prefix: node spans are named ``{name}:{node.label}``.
+        Computed nodes count under ``{name}.pool`` (threads/serial) or
+        ``{name}.map`` (process tasks).
     """
 
     def __init__(self, n_jobs: int | None = None, backend: str = "serial",
@@ -130,6 +134,10 @@ class Executor:
             name=f"{name}.pool",
         )
         self.n_jobs = self._pool.n_jobs
+        self._tasks = ParallelExecutor(
+            n_jobs=self.n_jobs, backend="process", chunk_size=1,
+            name=f"{name}.map",
+        ) if backend == "process" and self.n_jobs > 1 else None
         self.backend = backend
         self.name = name
 
@@ -140,13 +148,12 @@ class Executor:
             observer: Callable[[NodeRun], None] | None = None) -> PlanResult:
         """Execute every node; returns a :class:`PlanResult`.
 
-        ``store=None`` means no caching (:data:`~repro.store.NULL_STORE`
-        inside — resolution from ``$REPRO_STORE`` is the caller's
-        concern, via :func:`repro.store.resolve_store`).  ``rng`` is
-        required iff the plan contains ``rng="spawn"`` or
-        ``rng="shared"`` nodes.  ``observer`` is called once per node,
-        on the coordinator, in deterministic plan order, after the
-        node's value is committed.
+        ``store=None`` means no caching (resolution from
+        ``$REPRO_STORE`` is the caller's concern, via
+        :func:`repro.store.resolve_store`).  ``rng`` is required iff
+        the plan contains ``rng="spawn"`` or ``rng="shared"`` nodes.
+        ``observer`` is called once per node, on the coordinator, in
+        deterministic plan order, after the node's value is committed.
         """
         inputs = dict(inputs or {})
         declared = set(plan.input_names)
@@ -158,7 +165,6 @@ class Executor:
             raise PlanError(
                 f"unknown plan inputs supplied: {sorted(unexpected)}"
             )
-        store = store if store is not None else NULL_STORE
         seeds = self._spawn_seeds(plan, rng)
         if rng is None and any(node.rng == "shared" for node in plan.nodes):
             raise PlanError(
@@ -172,21 +178,17 @@ class Executor:
 
         results: dict[str, object] = dict(inputs)
         fingerprints: dict[str, str] = {}
-        fp_lock = threading.Lock()
 
-        def fp_of(name: str) -> str:
-            with fp_lock:
-                cached = fingerprints.get(name)
-            if cached is None:
-                cached = value_fingerprint(results[name])
-                with fp_lock:
-                    fingerprints[name] = cached
-            return cached
+        def fps_of(node: Node) -> dict[str, str]:
+            for name in node.inputs:
+                if name not in fingerprints:
+                    fingerprints[name] = value_fingerprint(results[name])
+            return {name: fingerprints[name] for name in node.inputs}
 
         runs: list[NodeRun] = []
         for level_index, level in enumerate(plan.levels()):
             outcomes = self._run_level(
-                level, results, fp_of, seeds, rng, store, telemetry,
+                level, results, fps_of, seeds, rng, store, telemetry,
                 parent_id,
             )
             # Commit, observe, and record in plan order on the
@@ -230,154 +232,111 @@ class Executor:
         return {node.name: seed for node, seed
                 in zip(spawn_nodes, children)}
 
-    def _thunk(self, node: Node, results: dict, fp_of, seeds: dict,
-               shared_rng, store, telemetry, hold: bool):
-        input_values = {name: results[name] for name in node.inputs}
+    def _run_level(self, level, results, fps_of, seeds, shared_rng, store,
+                   telemetry, parent_id) -> list:
+        """``(value, status)`` per node of one level, in plan order.
 
-        def lazy_key() -> str:
-            input_fps = {name: fp_of(name) for name in node.inputs}
-            identity = (seed_identity(seeds[node.name])
-                        if node.rng == "spawn" else None)
-            return node.key(input_fps, identity)
+        The coordinator keys every node, replays hits and runs
+        shared-rng nodes in place (one generator threads them, so they
+        never fan out); only the remaining misses are computed, in one
+        pool call, and their values are committed here in plan order.
+        A key, lookup or commit failure records the node's error span
+        exactly like a failure of the node's own computation.
+        """
+        outcomes: list = [None] * len(level)
+        misses: list[tuple[int, Node, str | None]] = []
+        for index, node in enumerate(level):
+            try:
+                key = None
+                if store is not None and node.cacheable:
+                    key = node.key(
+                        fps_of(node),
+                        seed_identity(seeds[node.name])
+                        if node.rng == "spawn" else None,
+                    )
+                if node.rng == "shared":
+                    compute = self._computation(node, results, seeds,
+                                                shared_rng, telemetry)
+                    outcomes[index] = (
+                        (compute(), "uncacheable") if key is None
+                        else store.memoize_with_status(
+                            compute, key=key, rng=shared_rng,
+                            tags=lambda: node.resolved_tags(fps_of(node)),
+                        )
+                    )
+                    continue
+                if key is not None:
+                    # A spilled hit never decodes the payload: bounded
+                    # coordinator memory is the point.
+                    if node.spill:
+                        if store.probe(key):
+                            outcomes[index] = (Spilled(key, store), "hit")
+                            continue
+                    else:
+                        value = store.get(key, _ABSENT)
+                        if value is not _ABSENT:
+                            outcomes[index] = (value, "hit")
+                            continue
+            except Exception as error:
+                self._record_error(telemetry, parent_id, node, error)
+                raise
+            misses.append((index, node, key))
+        if not misses:
+            return outcomes
 
-        def lazy_tags() -> tuple:
-            return node.resolved_tags(
-                {name: fp_of(name) for name in node.inputs}
-            )
-
-        if node.rng == "spawn":
-            node_rng = np.random.default_rng(seeds[node.name])
-            continuity_rng = None
-        elif node.rng == "shared":
-            node_rng = shared_rng
-            continuity_rng = shared_rng
+        nodes = [node for _, node, _ in misses]
+        if self._tasks is not None and all(
+            node.task is not None for node in nodes
+        ):
+            pool, calls = self._tasks, [node.task for node in nodes]
         else:
-            node_rng = None
-            continuity_rng = None
+            pool = self._pool
+            calls = [self._computation(node, results, seeds, shared_rng,
+                                       telemetry) for node in nodes]
+        try:
+            values = pool.call(calls)
+        except ParallelTaskError as error:
+            self._raise_node_error(error, nodes, telemetry, parent_id)
 
-        def compute():
-            return node.run(input_values, node_rng)
-
-        if telemetry is not None and telemetry.collector is not None:
-            # Only actual computation is sampled: cache hits replay
-            # inside the store and never reach this wrapper's body.
-            compute = telemetry.collector.wrap(("node", node.name), compute)
-
-        def thunk():
-            if not node.cacheable:
-                return compute(), "uncacheable"
-            if node.spill and not isinstance(store, NullStore):
-                # Spill: the value lives in the store, a Spilled
-                # reference travels the plan.  A warm hit never decodes
-                # the payload — bounded coordinator memory is the point.
-                # A level's only spill holds its fresh value: that one
-                # partial is within the bound, and consumers skip
-                # decoding it back.
-                digest = lazy_key()
-                if store.probe(digest):
-                    return Spilled(digest), "hit"
-                value = compute()
-                store.put(digest, value, tags=lazy_tags())
-                spilled = Spilled(digest)
+        # A level's only spill holds its fresh value: that one partial is
+        # within the memory bound, and consumers skip decoding it back.
+        hold = sum(node.spill for node in level) == 1
+        for (index, node, key), value in zip(misses, values):
+            if key is None:
+                outcomes[index] = (value, "uncacheable")
+                continue
+            try:
+                store.put(key, value, tags=node.resolved_tags(fps_of(node)))
+            except Exception as error:
+                self._record_error(telemetry, parent_id, node, error)
+                raise
+            if node.spill:
+                spilled = Spilled(key, store)
                 if hold:
                     spilled.held = value
-                return spilled, "miss"
-            return store.memoize_with_status(
-                compute, key=lazy_key, rng=continuity_rng, tags=lazy_tags
-            )
-
-        return thunk
-
-    def _run_level(self, level, results, fp_of, seeds, shared_rng, store,
-                   telemetry, parent_id) -> list:
-        if (
-            self.backend == "process"
-            and self.n_jobs > 1
-            and len(level) > 1
-            and all(node.task is not None for node in level)
-        ):
-            return self._run_level_process(level, store, telemetry,
-                                           parent_id)
-        hold = sum(node.spill for node in level) == 1
-        thunks = [
-            self._thunk(node, results, fp_of, seeds, shared_rng, store,
-                        telemetry, hold)
-            for node in level
-        ]
-        # Shared-rng nodes thread one generator, so any level holding
-        # one must run serially; single-node levels gain nothing from a
-        # pool and skip its counters entirely.
-        inline = (
-            len(level) == 1
-            or self.n_jobs == 1
-            or self._pool.backend == "serial"
-            or any(node.rng == "shared" for node in level)
-        )
-        if inline:
-            outcomes = []
-            for node, thunk in zip(level, thunks):
-                try:
-                    outcomes.append(thunk())
-                except Exception as error:
-                    self._record_error(telemetry, parent_id, node, error)
-                    raise
-            return outcomes
-        try:
-            return self._pool.call(thunks)
-        except ParallelTaskError as error:
-            self._raise_node_error(error, level, telemetry, parent_id)
-
-    def _run_level_process(self, level, store, telemetry, parent_id) -> list:
-        """Dispatch a level of task-declaring nodes to process workers.
-
-        The shard-map fan-out: every node in the level carries a
-        picklable ``task`` (its data closed over at build time), so the
-        level runs as real map tasks over the :mod:`repro.parallel`
-        process backend — one task per node — instead of the node-level
-        thread coercion.  Cache replay happens on the coordinator
-        *before* dispatch, so only missing shards ship to workers, and
-        committed values (or :class:`~repro.store.Spilled` references,
-        for spill nodes) come back in deterministic node order.
-        """
-        caching = not isinstance(store, NullStore)
-        outcomes: list = [None] * len(level)
-        pending: list[tuple[int, Node, str | None]] = []
-        for index, node in enumerate(level):
-            key = None
-            if caching and node.cacheable:
-                key = node.key()
-                if node.spill:
-                    if store.probe(key):
-                        outcomes[index] = (Spilled(key), "hit")
-                        continue
-                else:
-                    value = store.get(key, _ABSENT)
-                    if value is not _ABSENT:
-                        outcomes[index] = (value, "hit")
-                        continue
-            pending.append((index, node, key))
-        if pending:
-            pool = ParallelExecutor(
-                n_jobs=self.n_jobs, backend="process", chunk_size=1,
-                name=f"{self.name}.map",
-            )
-            nodes = [node for _, node, _ in pending]
-            try:
-                values = pool.call([node.task for node in nodes])
-            except ParallelTaskError as error:
-                self._raise_node_error(error, nodes, telemetry, parent_id)
-            for (index, node, key), value in zip(pending, values):
-                if key is None:
-                    # Either caching is off or the node opted out — the
-                    # same "uncacheable" a NullStore memoize reports.
-                    outcomes[index] = (value, "uncacheable")
-                    continue
-                store.put(key, value, tags=node.resolved_tags({}))
-                outcomes[index] = (
-                    (Spilled(key), "miss") if node.spill
-                    else (value, "miss")
-                )
+                value = spilled
+            outcomes[index] = (value, "miss")
         return outcomes
+
+    @staticmethod
+    def _computation(node: Node, results: dict, seeds: dict, shared_rng,
+                     telemetry) -> Callable[[], object]:
+        """The node's computation on its resolved inputs, as a thunk."""
+        if node.rng == "spawn":
+            node_rng = np.random.default_rng(seeds[node.name])
+        elif node.rng == "shared":
+            node_rng = shared_rng
+        else:
+            node_rng = None
+        inputs = {name: results[name] for name in node.inputs}
+
+        def compute():
+            return node.run(inputs, node_rng)
+
+        if telemetry is not None and telemetry.collector is not None:
+            # Only actual computation is sampled: hits never get here.
+            compute = telemetry.collector.wrap(("node", node.name), compute)
+        return compute
 
     def _record_span(self, telemetry, parent_id, run: NodeRun,
                      results: dict, level_mark) -> None:

@@ -12,10 +12,9 @@ needs to run it responsibly:
   :func:`repro.store.code_fingerprint`), the node's ``params``, and
   content fingerprints of every resolved input, so an unchanged node
   replays from the store and a changed one recomputes.  ``params`` may
-  be a zero-argument callable; it is only evaluated when a real store
+  be a zero-argument callable; it is only evaluated when a store
   needs the key, so plans running without caching never pay for
-  fingerprinting.  ``key_parts`` overrides the derivation entirely —
-  the serve planner uses it to keep its historical query digests.
+  fingerprinting.
 * **randomness** — ``rng="spawn"`` gives the node its own
   ``SeedSequence``-spawned generator (one child per node, assigned in
   deterministic plan order, so results are bit-identical for every
@@ -95,19 +94,13 @@ class Node:
         Identifier, unique within the plan.
     fn:
         ``fn(inputs, rng) -> value`` where ``inputs`` is a dict of the
-        resolved upstream values.  ``None`` makes the node
-        representation-only (it can be fingerprinted and validated but
-        not executed) — the serve planner's query identity.
+        resolved upstream values.
     inputs:
         Names of upstream nodes (or plan inputs) this node consumes.
     params:
         Dict of key parts identifying external data and parameters the
         computation depends on, or a zero-argument callable returning
         one (evaluated lazily, only when a store needs the key).
-    key_parts:
-        Full override of the cache-key derivation: when given, the key
-        is exactly ``fingerprint(**key_parts)`` — no code or input
-        fingerprints are folded in.  Mutually exclusive with ``params``.
     code:
         Callable whose compiled code joins the key (default: ``fn``).
         Pass the underlying section/stage function when ``fn`` is a
@@ -136,25 +129,23 @@ class Node:
         Optional *picklable* zero-argument callable equivalent to
         ``fn(inputs, rng)`` for this node (everything baked in at
         build time — e.g. ``functools.partial`` of a module-level
-        function).  When every node in a plan level declares one (and
-        none declares ``inputs`` or ``rng``), an executor built with
-        ``backend="process"`` dispatches the level as real process map
-        tasks instead of coercing to threads — the shard-map fan-out
-        path.  ``fn`` remains the thread/serial execution form and must
-        compute the same value.
+        function; a task node declares no ``inputs`` or ``rng``).  When
+        every node a plan level must compute declares one, an executor
+        built with ``backend="process"`` and ``n_jobs > 1`` dispatches
+        them as real process map tasks instead of running ``fn`` on
+        threads — the shard-map fan-out path.  ``fn`` remains the
+        thread/serial execution form and must compute the same value.
     spill:
         ``True`` commits the node's value to the store and passes a
         :class:`~repro.store.Spilled` reference downstream instead of
-        the value (requires ``cacheable``; inert without a real
-        store).  Consumers resolve references one at a time, so the
-        coordinator never holds every partial at once.
+        the value (requires ``cacheable``; inert without a store).
+        Consumers resolve references one at a time, so the coordinator
+        never holds every partial at once.
     """
 
-    def __init__(self, name: str,
-                 fn: Callable | None = None, *,
+    def __init__(self, name: str, fn: Callable, *,
                  inputs: tuple[str, ...] | list[str] = (),
                  params: dict | Callable[[], dict] | None = None,
-                 key_parts: dict | None = None,
                  code: Callable | None = None,
                  cacheable: bool = True,
                  rng: str | None = None,
@@ -167,16 +158,11 @@ class Node:
                  spill: bool = False):
         if not name or not isinstance(name, str):
             raise PlanError("node name must be a non-empty string")
-        if fn is not None and not callable(fn):
-            raise PlanError(f"node {name!r}: fn must be callable or None")
+        if not callable(fn):
+            raise PlanError(f"node {name!r}: fn must be callable")
         if rng not in RNG_MODES:
             raise PlanError(
                 f"node {name!r}: rng must be one of {RNG_MODES}, got {rng!r}"
-            )
-        if key_parts is not None and params is not None:
-            raise PlanError(
-                f"node {name!r}: key_parts overrides the key derivation; "
-                "give either key_parts or params, not both"
             )
         self.name = name
         self.fn = fn
@@ -184,7 +170,6 @@ class Node:
         if len(set(self.inputs)) != len(self.inputs):
             raise PlanError(f"node {name!r} declares a duplicate input")
         self.params = params
-        self.key_parts = dict(key_parts) if key_parts is not None else None
         self.code = code
         self.cacheable = bool(cacheable)
         self.rng = rng
@@ -227,19 +212,12 @@ class Node:
 
     def key(self, input_fingerprints: Mapping[str, str] | None = None,
             rng_identity: dict | None = None) -> str:
-        """The node's cache key: code + params + input content (+ rng).
-
-        ``key_parts`` (when set) wins outright — the digest is then
-        exactly ``fingerprint(**key_parts)``, which is how the serve
-        planner keeps every historically cached answer replayable.
-        """
-        if self.key_parts is not None:
-            return fingerprint(**self.key_parts)
-        target = self.code if self.code is not None else self.fn
+        """The node's cache key: code + params + input content (+ rng)."""
         parts: dict = {
             "node": self.label,
-            "code": (code_fingerprint(target) if target is not None
-                     else None),
+            "code": code_fingerprint(
+                self.code if self.code is not None else self.fn
+            ),
             "params": canonical(self.resolved_params()),
         }
         if input_fingerprints:
@@ -260,11 +238,6 @@ class Node:
     def run(self, inputs: Mapping[str, object],
             rng: np.random.Generator | None = None):
         """Execute the node's computation on resolved inputs."""
-        if self.fn is None:
-            raise PlanError(
-                f"node {self.name!r} is representation-only (fn=None) "
-                "and cannot be executed"
-            )
         return self.fn(dict(inputs), rng)
 
     def __repr__(self) -> str:

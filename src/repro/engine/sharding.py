@@ -13,10 +13,11 @@ builds one :class:`~repro.engine.Node` per shard, each of which
 * owns a **per-shard cache key** (its params fold the shard's content
   fingerprint), so editing one shard re-keys exactly that node — the
   incremental sharded re-audit;
-* optionally **spills**: the partial is committed to the store tagged
-  ``shard:<fp>`` and a :class:`~repro.store.Spilled` reference travels
-  the plan instead of the value, bounding coordinator memory by one
-  shard plus the combined partials;
+* **spills** whenever the plan runs with a store: the partial is
+  committed to the store tagged ``shard:<fp>`` and a
+  :class:`~repro.store.Spilled` reference travels the plan instead of
+  the value, bounding coordinator memory by one shard plus the
+  combined partials;
 * optionally draws from a **per-shard spawned SeedSequence** (``seed=``
   spawns one child per shard, baked into the task and folded into the
   key).
@@ -42,7 +43,7 @@ from repro.data.table import Table
 from repro.engine.node import Node, seed_identity
 from repro.exceptions import PlanError
 from repro.parallel.rng import spawn_seeds
-from repro.store.store import NULL_STORE, resolve_spilled
+from repro.store.store import resolve_spilled
 
 
 def _run_shard_task(map_fn, source, seed):
@@ -61,25 +62,24 @@ def _run_shard_task(map_fn, source, seed):
 class ShardPartials(Sequence):
     """The per-shard partials, resolved lazily in shard order.
 
-    Spilled references are fetched from the store one at a time as the
-    combine iterates — the coordinator holds the partial it is folding,
-    not all of them — while raw (storeless) partials pass straight
-    through.  Indexing re-fetches; iterate once and fold.
+    Spilled references are fetched from their store one at a time as
+    the combine iterates — the coordinator holds the partial it is
+    folding, not all of them — while raw (storeless) partials pass
+    straight through.  Indexing re-fetches; iterate once and fold.
     """
 
-    def __init__(self, values: Sequence, store):
+    def __init__(self, values: Sequence):
         self._values = list(values)
-        self._store = store if store is not None else NULL_STORE
 
     def __len__(self) -> int:
         return len(self._values)
 
     def __getitem__(self, index):
-        return resolve_spilled(self._values[index], self._store)
+        return resolve_spilled(self._values[index])
 
     def __iter__(self):
         for value in self._values:
-            yield resolve_spilled(value, self._store)
+            yield resolve_spilled(value)
 
 
 def shard_map_nodes(name: str, data: PartitionedTable,
@@ -87,7 +87,6 @@ def shard_map_nodes(name: str, data: PartitionedTable,
                     params: dict | Callable[[], dict] | None = None,
                     code: Callable | None = None,
                     seed: np.random.Generator | None = None,
-                    spill: bool = True,
                     label: str | None = None) -> tuple[Node, ...]:
     """One map node per shard of ``data`` (names ``{name}.shard{i}``).
 
@@ -98,7 +97,8 @@ def shard_map_nodes(name: str, data: PartitionedTable,
     ``code`` defaults to ``map_fn`` so edits invalidate.  ``seed``
     spawns one ``SeedSequence`` child per shard (advancing the
     caller's spawn counter once), giving each map task its own
-    deterministic stream whose identity joins the key.
+    deterministic stream whose identity joins the key.  Every map node
+    spills (inert when the plan runs without a store).
     """
     if not isinstance(data, PartitionedTable):
         raise PlanError(
@@ -138,14 +138,13 @@ def shard_map_nodes(name: str, data: PartitionedTable,
             span_attrs={"shard": index, "n_shards": data.n_shards},
             tags=node_tags,
             task=task,
-            spill=spill,
+            spill=True,
         ))
     return tuple(nodes)
 
 
 def combine_node(name: str, over: Sequence[str] | Sequence[Node],
                  fn: Callable, *,
-                 store=None,
                  params: dict | Callable[[], dict] | None = None,
                  code: Callable | None = None,
                  rng: str | None = None,
@@ -157,22 +156,18 @@ def combine_node(name: str, over: Sequence[str] | Sequence[Node],
 
     ``fn(partials, extras, rng)`` receives the partials as a
     :class:`ShardPartials` (shard order, lazy resolution) and any
-    additional declared ``inputs`` as the ``extras`` dict.  ``store``
-    must be the store the executor will run with whenever the map
-    nodes spill — it is where the references point.  The node's cache
-    key folds every partial's fingerprint, so a changed shard re-keys
-    the combine automatically.
+    additional declared ``inputs`` as the ``extras`` dict.  The node's
+    cache key folds every partial's fingerprint, so a changed shard
+    re-keys the combine automatically.
     """
     over_names = tuple(
         unit.name if isinstance(unit, Node) else str(unit) for unit in over
     )
     extra_names = tuple(str(item) for item in inputs)
-    resolved_store = store if store is not None else NULL_STORE
 
     def combine_fn(input_values, node_rng):
         partials = ShardPartials(
-            [input_values[member] for member in over_names],
-            resolved_store,
+            [input_values[member] for member in over_names]
         )
         extras = {member: input_values[member] for member in extra_names}
         return fn(partials, extras, node_rng)
@@ -197,8 +192,6 @@ def shard_map(name: str, data: PartitionedTable, map_fn: Callable,
               combine_code: Callable | None = None,
               combine_rng: str | None = None,
               seed: np.random.Generator | None = None,
-              store=None,
-              spill: bool = True,
               inputs: Sequence[str] = (),
               tags: tuple[str, ...] | Callable = ()) -> list[Node]:
     """Map nodes plus their combine, ready to drop into a plan.
@@ -210,10 +203,9 @@ def shard_map(name: str, data: PartitionedTable, map_fn: Callable,
     """
     maps = shard_map_nodes(
         name, data, map_fn, params=params, code=map_code, seed=seed,
-        spill=spill,
     )
     tail = combine_node(
-        f"{name}.combine", maps, combine, store=store,
+        f"{name}.combine", maps, combine,
         params=combine_params, code=combine_code, rng=combine_rng,
         inputs=inputs, tags=tags,
     )

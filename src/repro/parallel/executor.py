@@ -219,7 +219,7 @@ class ParallelExecutor:
 
         The heterogeneous sibling of :meth:`map`: each task carries its
         own closure, which is how :class:`repro.engine.Executor`
-        dispatches the independent ready nodes of one plan level.  The
+        computes the cache misses of one plan level.  The
         thread/serial backends run closures directly; closures are
         rarely picklable, so callers targeting ``"process"`` pass
         picklable callables (the engine's shard-map node tasks) or

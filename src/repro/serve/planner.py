@@ -16,13 +16,11 @@ the registered table's version is folded in (re-registering a table
 invalidates every cached answer computed from the old rows — replaying
 those would be answering about data that no longer exists).
 
-A plan's fingerprint is the cache key of a representation-only
-:class:`repro.engine.Node` whose ``key_parts`` are the canonical query
-identity.  The hashing bottoms out in
-:func:`repro.store.fingerprint.fingerprint` — the planner's historical
-private ``_fingerprint``, promoted to the system-wide canonicalisation
-shared with the artifact store.  The digests are unchanged through both
-refactors, so answers cached before them replay after them
+A plan's fingerprint is :func:`repro.store.fingerprint.fingerprint` of
+the canonical query identity — the planner's historical private
+``_fingerprint``, promoted to the system-wide canonicalisation shared
+with the artifact store.  The digests are unchanged through every
+refactor since, so answers cached before them replay after them
 (regression-tested in ``tests/test_store.py``).
 """
 
@@ -35,9 +33,9 @@ from dataclasses import dataclass
 from repro.confidentiality.queries import BOUNDED_KINDS, DPQuery
 from repro.data.schema import ColumnType
 from repro.data.table import Table
-from repro.engine import Node
 from repro.exceptions import DataError
 from repro.serve.protocol import KINDS, QueryRequest
+from repro.store.fingerprint import fingerprint
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -219,18 +217,15 @@ class QueryPlanner:
                 raise DataError(f"bad histogram bins: {error}") from None
 
         version = self._versions[table_name]
-        # The digest is the query node's engine cache key: the planner
-        # owns validation/normalisation, the engine owns identity.
-        identity = Node(f"query:{kind}", None, key_parts={
-            "table": table_name, "version": version, "kind": kind,
-            "column": column, "epsilon": epsilon, "delta": delta,
-            "lower": lower, "upper": upper, "q": q, "bins": bins,
-        })
         return QueryPlan(
             kind=kind, table=table_name, table_version=version,
             epsilon=epsilon, delta=delta, column=column,
             lower=lower, upper=upper, q=q, bins=bins,
-            fingerprint=identity.key(),
+            fingerprint=fingerprint(
+                table=table_name, version=version, kind=kind,
+                column=column, epsilon=epsilon, delta=delta,
+                lower=lower, upper=upper, q=q, bins=bins,
+            ),
         )
 
     def _resolve_table_name(self, name: str | None) -> str:

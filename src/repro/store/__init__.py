@@ -54,9 +54,7 @@ from repro.store.fingerprint import (
     table_fingerprint,
 )
 from repro.store.store import (
-    NULL_STORE,
     ArtifactStore,
-    NullStore,
     Spilled,
     resolve_spilled,
     rng_state,
@@ -100,8 +98,6 @@ __all__ = [
     "DEFAULT_MAX_BYTES",
     "JsonDirBackend",
     "MemoryBackend",
-    "NULL_STORE",
-    "NullStore",
     "STORE_ENV",
     "Spilled",
     "array_fingerprint",

@@ -1,10 +1,10 @@
 """Storage backends for the artifact store: in-memory and on-disk JSON.
 
-Backends speak one tiny protocol — ``get``/``put``/``delete``/``keys``/
-``clear``/``__len__``/``total_bytes`` over *text* payloads — so the
-:class:`~repro.store.store.ArtifactStore` owns all semantics (encoding,
-corruption recovery, tag invalidation, telemetry) and backends own only
-placement and eviction.
+Backends speak one tiny protocol — ``get``/``contains``/``put``/
+``delete``/``keys``/``clear``/``__len__``/``total_bytes`` over *text*
+payloads — so the :class:`~repro.store.store.ArtifactStore` owns all
+semantics (encoding, corruption recovery, tag invalidation, telemetry)
+and backends own only placement and eviction.
 
 Both backends are size-bounded LRU: ``max_entries`` caps the key count
 and ``max_bytes`` caps the summed payload size, and eviction only ever
@@ -48,6 +48,14 @@ class MemoryBackend:
             if text is not None:
                 self._entries.move_to_end(key)
             return text
+
+    def contains(self, key: str) -> bool:
+        """Presence without the payload; refreshes recency like ``get``."""
+        with self._lock:
+            if key not in self._entries:
+                return False
+            self._entries.move_to_end(key)
+            return True
 
     def put(self, key: str, text: str) -> None:
         size = len(text.encode("utf-8"))
@@ -135,6 +143,15 @@ class JsonDirBackend:
             except OSError:
                 pass
             return text
+
+    def contains(self, key: str) -> bool:
+        """Presence without reading the file; refreshes recency like get."""
+        with self._lock:
+            try:
+                os.utime(self._file(key))  # a missing entry raises
+            except OSError:
+                return False
+            return True
 
     def put(self, key: str, text: str) -> None:
         if len(text.encode("utf-8")) > self.max_bytes:

@@ -43,15 +43,16 @@ _MISS = object()
 
 
 class Spilled:
-    """A by-reference handle to an artifact left in the store.
+    """A by-reference handle to an artifact left in a store.
 
     Spill-enabled engine nodes (:mod:`repro.engine.sharding`) commit
     their value to the store and hand *this* downstream instead of the
     value itself — partial shard results persist as artifacts between
     plan levels, so the coordinator's peak memory is bounded by one
     shard plus the combined partials, and a warm re-run replays the
-    handle without ever decoding the payload.  Consumers resolve it
-    with :func:`resolve_spilled` (one partial at a time, in shard
+    handle without ever decoding the payload.  The handle names the
+    store it points into, so consumers resolve it with
+    :func:`resolve_spilled` alone (one partial at a time, in shard
     order).
 
     The content fingerprint hashes the key: the key *is* the value's
@@ -62,10 +63,11 @@ class Spilled:
     without decoding the entry back.
     """
 
-    __slots__ = ("key", "held")
+    __slots__ = ("key", "store", "held")
 
-    def __init__(self, key: str):
+    def __init__(self, key: str, store: "ArtifactStore"):
         self.key = str(key)
+        self.store = store
         self.held = None
 
     def __content_fingerprint__(self) -> str:
@@ -75,7 +77,7 @@ class Spilled:
         return f"Spilled({self.key!r})"
 
 
-def resolve_spilled(value, store):
+def resolve_spilled(value):
     """``value`` itself, or the artifact behind a :class:`Spilled` ref.
 
     A missing or corrupted spill entry raises :class:`DataError` — a
@@ -87,7 +89,7 @@ def resolve_spilled(value, store):
         return value
     if value.held is not None:
         return value.held
-    resolved = store.get(value.key, _MISS)
+    resolved = value.store.get(value.key, _MISS)
     if resolved is _MISS:
         raise DataError(
             f"spilled artifact {value.key} has vanished from the store; "
@@ -114,7 +116,7 @@ class ArtifactStore:
     backend:
         A :class:`~repro.store.backend.MemoryBackend` (default) or
         :class:`~repro.store.backend.JsonDirBackend`; anything speaking
-        the same text get/put protocol works.
+        the same text get/put/contains protocol works.
     name:
         Label attached to this store's telemetry counters, so several
         stores in one process stay distinguishable.
@@ -186,17 +188,18 @@ class ArtifactStore:
         return key
 
     def __contains__(self, key: str) -> bool:
-        return self.backend.get(key) is not None
+        return self.backend.contains(key)
 
     def probe(self, key: str) -> bool:
-        """Counted presence check that never decodes the payload.
+        """Counted presence check that never reads the payload.
 
         The spill path's hit test: a present entry counts one hit, an
-        absent one counts one miss — the same accounting a
-        :meth:`memoize_with_status` lookup would produce — but the
-        (possibly large) artifact stays on disk untouched.
+        absent one counts one miss — the same accounting a :meth:`get`
+        would produce — but the (possibly large) artifact stays on disk
+        untouched.  Like a read, it refreshes the entry's LRU recency:
+        a probed partial is about to be resolved.
         """
-        if self.backend.get(key) is not None:
+        if self.backend.contains(key):
             self._count("hits")
             return True
         self._count("misses")
@@ -248,22 +251,21 @@ class ArtifactStore:
         return value
 
     def memoize_with_status(self, compute: Callable[[], object], *,
-                            key: str | Callable[[], str],
+                            key: str,
                             rng: np.random.Generator | None = None,
                             tags=()):
         """:meth:`memoize` on a precomputed digest; reports hit or miss.
 
-        This is the engine's entry point: ``key`` is a full cache digest
-        (e.g. :meth:`repro.engine.Node.key`) or a zero-argument callable
-        producing one — lazy, so a caller holding a :class:`NullStore`
-        never pays for fingerprinting.  ``tags`` may likewise be a
-        zero-argument callable.  When ``rng`` is given, its pre-call
-        state is folded into the digest and its post-call state restored
-        on hits, exactly as in :meth:`memoize`.
+        The engine's entry point for shared-rng nodes: ``key`` is a full
+        cache digest (e.g. :meth:`repro.engine.Node.key`).  ``tags`` may
+        be a zero-argument callable, evaluated only on a miss.  When
+        ``rng`` is given, its pre-call state is folded into the digest
+        and its post-call state restored on hits, exactly as in
+        :meth:`memoize`.
 
         Returns ``(value, "hit" | "miss")``.
         """
-        digest = key() if callable(key) else key
+        digest = key
         if rng is not None:
             digest = fingerprint(key=digest, rng=rng_state(rng))
         return self._memoize(digest, compute, rng=rng, tags=tags)
@@ -350,66 +352,3 @@ class ArtifactStore:
             telemetry.metrics.counter(
                 f"store.{counter}", store=self.name
             ).inc(int(amount))
-
-
-class NullStore:
-    """A store-shaped no-op: never caches, never counts, never hashes.
-
-    Passing ``NULL_STORE`` where an :class:`ArtifactStore` is expected
-    collapses the caller's ``if store is None: ... else: ...`` branch
-    pair into one code path: :meth:`memoize_with_status` just runs the
-    computation and reports ``"uncacheable"``, and because the engine
-    passes its key/tags as *callables*, a storeless run never evaluates
-    a single fingerprint.
-    """
-
-    name = "null"
-
-    def memoize_with_status(self, compute: Callable[[], object], *,
-                            key=None, rng=None, tags=()):
-        """Run ``compute()``; nothing is looked up or kept."""
-        return compute(), "uncacheable"
-
-    def memoize(self, parts, compute: Callable[[], object],
-                rng=None, tags=()):
-        """Run ``compute()``; nothing is looked up or kept."""
-        return compute()
-
-    def get(self, key: str, default=None):
-        """Always ``default`` — the null store holds nothing."""
-        return default
-
-    def put(self, key: str, value, tags=(), extra=None) -> str:
-        """Accept and discard ``value``; returns ``key`` unchanged."""
-        return key
-
-    def probe(self, key: str) -> bool:
-        """Always ``False`` (nothing is ever stored, nothing counted)."""
-        return False
-
-    def invalidate(self, key: str) -> None:
-        """No-op (nothing is ever stored)."""
-
-    def invalidate_tag(self, tag: str) -> int:
-        """No-op; always 0 entries dropped."""
-        return 0
-
-    def clear(self) -> None:
-        """No-op (nothing is ever stored)."""
-
-    def stats(self) -> dict[str, float]:
-        """All-zero counters, for uniform reporting."""
-        return {"entries": 0, "bytes": 0, "hits": 0, "misses": 0,
-                "puts": 0, "evictions": 0, "corruptions": 0,
-                "hit_rate": 0.0, "bytes_written": 0, "bytes_read": 0}
-
-    def __contains__(self, key: str) -> bool:
-        return False
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: Shared no-op store; ``store if store is not None else NULL_STORE``
-#: turns an optional-store API into a single unconditional code path.
-NULL_STORE = NullStore()

@@ -6,6 +6,9 @@ combination, malformed wiring fails loudly at construction time, and
 caching and observability flow through the single executor code path.
 """
 
+import functools
+import threading
+
 import numpy as np
 import pytest
 
@@ -91,8 +94,8 @@ def test_plan_rejects_input_name_clash():
 def test_node_rejects_bad_rng_mode_and_conflicting_identity():
     with pytest.raises(PlanError, match="rng must be one of"):
         Node("a", _merge, rng="fork")
-    with pytest.raises(PlanError, match="key_parts or params, not both"):
-        Node("a", _merge, params={"x": 1}, key_parts={"x": 1})
+    with pytest.raises(PlanError, match="fn must be callable"):
+        Node("a", None)
 
 
 def test_plan_levels_follow_dependencies():
@@ -242,18 +245,6 @@ def test_lazy_key_params_never_evaluated_without_store():
         Executor().run(plan, store=ArtifactStore())
 
 
-def test_key_parts_override_is_exact():
-    from repro.store import fingerprint
-
-    node = Node("q", key_parts={"table": "t", "epsilon": 1.0})
-    assert node.key() == fingerprint(table="t", epsilon=1.0)
-
-
-def test_representation_only_node_cannot_run():
-    with pytest.raises(PlanError, match="representation-only"):
-        Executor().run(Plan([Node("q", None)]))
-
-
 # -- error propagation --------------------------------------------------------
 
 
@@ -270,6 +261,98 @@ def test_node_errors_propagate_unwrapped_inline_and_pooled():
         Executor(n_jobs=1, backend="serial").run(plan)
     with pytest.raises(DataError, match="section exploded"):
         Executor(n_jobs=2, backend="thread").run(plan)
+
+
+# -- the coordinator owns the store ------------------------------------------
+
+
+class _ThreadNotingStore(ArtifactStore):
+    """Records whether each engine store call ran on the main thread."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def _note(self, method):
+        self.calls.append(
+            (method, threading.current_thread() is threading.main_thread())
+        )
+
+    def get(self, key, default=None):
+        self._note("get")
+        return super().get(key, default)
+
+    def probe(self, key):
+        self._note("probe")
+        return super().probe(key)
+
+    def put(self, key, value, tags=(), extra=None):
+        self._note("put")
+        return super().put(key, value, tags=tags, extra=extra)
+
+    def memoize_with_status(self, compute, **kwargs):
+        self._note("memoize_with_status")
+        return super().memoize_with_status(compute, **kwargs)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_engine_store_calls_run_on_the_coordinator(backend):
+    store = _ThreadNotingStore()
+    for expected in ("miss", "hit"):
+        store.calls.clear()
+        result = Executor(n_jobs=2, backend=backend).run(
+            _make_plan(), {"base": BASE}, rng=np.random.default_rng(7),
+            store=store,
+        )
+        assert set(result.statuses.values()) == {expected}
+        assert store.calls
+        assert [method for method, on_main in store.calls
+                if not on_main] == []
+
+
+def _refused(index):
+    """A picklable task whose value the store codec refuses."""
+    return complex(index, 1)
+
+
+@pytest.mark.parametrize("n_jobs, backend",
+                         [(1, "thread"), (2, "thread"), (2, "process")])
+def test_commit_failure_records_the_first_nodes_error_span(n_jobs, backend):
+    telemetry = obs.configure()
+    plan = Plan([
+        Node(f"n{index}", lambda inputs, rng, index=index: _refused(index),
+             task=functools.partial(_refused, index))
+        for index in range(2)
+    ])
+    with pytest.raises(DataError, match="cannot store"):
+        Executor(n_jobs=n_jobs, backend=backend, name="t").run(
+            plan, store=ArtifactStore()
+        )
+    assert [(span.name, span.attributes["error"])
+            for span in telemetry.tracer.spans
+            if "error" in span.attributes] == [("t:n0", "DataError")]
+
+
+def _one(inputs, rng):
+    return 1
+
+
+def _two(inputs, rng):
+    return 2
+
+
+def test_a_level_of_hits_dispatches_nothing():
+    store = ArtifactStore()
+    plan = Plan([Node("a", _one), Node("b", _two)])
+    counters = []
+    for _ in range(2):
+        telemetry = obs.configure()
+        Executor(n_jobs=2, backend="thread", name="t").run(plan, store=store)
+        counters.append({metric.name: metric.value
+                         for metric in telemetry.metrics
+                         if metric.name.startswith("t.pool.")})
+        obs.reset()
+    assert counters == [{"t.pool.tasks": 2.0, "t.pool.chunks": 2.0}, {}]
 
 
 # -- observability ------------------------------------------------------------

@@ -11,6 +11,7 @@ shard count, worker count, backend, and store setting.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import FACTAuditor
 from repro.data import (
     PartitionedTable,
@@ -189,8 +190,7 @@ class TestShardMap:
     def test_spill_and_warm_replay(self, census):
         parts = partition(census, n_shards=3)
         store = ArtifactStore(MemoryBackend(), name="spill")
-        plan = Plan(shard_map("rows", parts, _count_rows, _sum_rows,
-                              store=store))
+        plan = Plan(shard_map("rows", parts, _count_rows, _sum_rows))
         cold = Executor(n_jobs=1, name="t").run(plan, store=store)
         assert cold["rows.combine"] == census.n_rows
         assert isinstance(cold["rows.shard0"], Spilled)
@@ -214,8 +214,7 @@ class TestShardMap:
     def test_process_backend_dispatches_map_tasks(self, census):
         parts = partition(census, n_shards=4)
         store = ArtifactStore(MemoryBackend(), name="proc")
-        plan = Plan(shard_map("rows", parts, _count_rows, _sum_rows,
-                              store=store))
+        plan = Plan(shard_map("rows", parts, _count_rows, _sum_rows))
         result = Executor(n_jobs=2, backend="process", name="t").run(
             plan, store=store
         )
@@ -288,6 +287,54 @@ class TestSpilledPartialTraffic:
         assert cold[1] == 0
         assert cold[2] > 0
         assert warm[1] == warm[2] > 0
+
+
+class TestStoreTrafficMatrix:
+    # Cold then warm audits on every schedule: one report, the same
+    # per-node outcomes, and the store traffic captured at the commit
+    # before the engine moved its store calls onto the coordinator.
+    SCHEDULES = ((1, "serial"), (1, "thread"), (2, "thread"), (2, "process"))
+    FIELDS = ("hits", "misses", "puts", "corruptions", "bytes_written",
+              "bytes_read")
+    TRAFFIC = {
+        1: ((0, 9, 9, 0, 22145, 0), (5, 0, 0, 0, 0, 2850)),
+        4: ((16, 12, 12, 0, 23447, 74788), (8, 0, 0, 0, 0, 2850)),
+    }
+
+    @pytest.mark.parametrize("n_shards", (1, 4))
+    def test_cold_then_warm(self, fitted, n_shards):
+        model, calibration, test = fitted
+        data = test if n_shards == 1 else partition(test, n_shards=n_shards)
+        nodes = [f"audit:partial.shard{index}" for index in range(n_shards)]
+        nodes += ["audit:fairness", "audit:accuracy", "audit:confidentiality",
+                  "audit:transparency"]
+        fingerprints = set()
+        for n_jobs, backend in self.SCHEDULES:
+            store = ArtifactStore(MemoryBackend(), name="traffic")
+            auditor = _auditor(n_jobs=n_jobs, backend=backend, store=store)
+            traffic = []
+            for status in ("miss", "hit"):
+                telemetry = obs.configure()
+                try:
+                    before = store.stats()
+                    report = auditor.audit(model, data,
+                                           np.random.default_rng(99),
+                                           calibration=calibration)
+                    after = store.stats()
+                    statuses = {
+                        span.name: span.attributes["cache"]
+                        for span in telemetry.tracer.spans
+                        if span.name.startswith("audit:")
+                    }
+                finally:
+                    obs.reset()
+                assert statuses == dict.fromkeys(nodes, status), (
+                    n_jobs, backend)
+                fingerprints.add(report.fingerprint())
+                traffic.append(tuple(after[field] - before[field]
+                                     for field in self.FIELDS))
+            assert tuple(traffic) == self.TRAFFIC[n_shards], (n_jobs, backend)
+        assert len(fingerprints) == 1
 
 
 class TestIncrementalShardedReaudit:

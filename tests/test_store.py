@@ -283,6 +283,46 @@ def test_get_of_tampered_payload_returns_default():
     assert "k" not in store
 
 
+class _UnreadableMemory(MemoryBackend):
+    def get(self, key):
+        raise AssertionError("a presence check read the payload")
+
+
+class _UnreadableDir(JsonDirBackend):
+    def get(self, key):
+        raise AssertionError("a presence check read the payload")
+
+
+@pytest.mark.parametrize("make_backend", [
+    lambda path: _UnreadableMemory(),
+    lambda path: _UnreadableDir(str(path / "cache")),
+], ids=["memory", "json-dir"])
+def test_presence_checks_read_no_payload(tmp_path, make_backend):
+    store = ArtifactStore(make_backend(tmp_path))
+    store.put("present", list(range(100)))
+    assert store.probe("present") is True
+    assert store.probe("absent") is False
+    assert "present" in store and "absent" not in store
+    # probe counts like a lookup; ``in`` counts nothing.
+    assert (store.hits, store.misses, store.bytes_read) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "json-dir"])
+def test_presence_checks_refresh_lru_recency(tmp_path, on_disk):
+    # A probed spill partial is read next, so it must not be evicted first.
+    backend = (JsonDirBackend(str(tmp_path / "cache"), max_entries=2)
+               if on_disk else MemoryBackend(max_entries=2))
+    store = ArtifactStore(backend)
+    store.put("a", 1)
+    store.put("b", 2)
+    if on_disk:  # mtimes order the LRU; make "a" the stalest entry
+        os.utime(backend._file("a"), (1, 1))
+        os.utime(backend._file("b"), (2, 2))
+    assert store.probe("a")
+    store.put("c", 3)
+    assert sorted(backend.keys()) == ["a", "c"]
+
+
 # -- memoization ------------------------------------------------------------------
 
 
