@@ -17,11 +17,9 @@ invalidates every cached answer computed from the old rows — replaying
 those would be answering about data that no longer exists).
 
 A plan's fingerprint is :func:`repro.store.fingerprint.fingerprint` of
-the canonical query identity — the planner's historical private
-``_fingerprint``, promoted to the system-wide canonicalisation shared
-with the artifact store.  The digests are unchanged through every
-refactor since, so answers cached before them replay after them
-(regression-tested in ``tests/test_store.py``).
+the canonical query identity, the system-wide canonicalisation shared
+with the artifact store.  The digests must never drift, so previously
+cached answers keep replaying (pinned in ``tests/test_store.py``).
 """
 
 from __future__ import annotations

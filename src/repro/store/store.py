@@ -265,10 +265,9 @@ class ArtifactStore:
 
         Returns ``(value, "hit" | "miss")``.
         """
-        digest = key
         if rng is not None:
-            digest = fingerprint(key=digest, rng=rng_state(rng))
-        return self._memoize(digest, compute, rng=rng, tags=tags)
+            key = fingerprint(key=key, rng=rng_state(rng))
+        return self._memoize(key, compute, rng=rng, tags=tags)
 
     def _memoize(self, key: str, compute: Callable[[], object],
                  rng: np.random.Generator | None = None, tags=()):
