@@ -1,10 +1,12 @@
-"""The async batched dispatch loop.
+"""The serving lifecycle: one owner per request, submission to resolution.
 
-This module is the serving front end's engine room.  A single asyncio
-event loop (on its own daemon thread) owns admission, planning, cache
-lookup, and **coalescing**: requests that miss the answer cache are
-grouped by :attr:`~repro.serve.planner.QueryPlan.group_key` — same
-table version, same mechanism, same clipping bounds — and wait up to
+This module is the serving front end's engine room.  A
+:class:`Dispatcher` takes each request from :meth:`Dispatcher.submit` to
+its resolved future.  A single asyncio event loop (on its own daemon
+thread) owns admission, planning, cache lookup, and **coalescing**:
+requests that miss the answer cache are grouped by
+:attr:`~repro.serve.planner.QueryPlan.group_key` — same table version,
+same mechanism, same clipping bounds — and wait up to
 ``batch_window_ms`` for company.  A flushed group executes on the
 worker pool as *one* vectorized noisy release: the data-plane work
 (scan, clip, bin counts, candidate utilities) happens once per group in
@@ -20,11 +22,15 @@ ordinal — *never* of batching, worker count, or arrival interleaving.
 That is what makes batched and unbatched serving byte-identical under a
 fixed seed (pinned by ``tests/test_serve_async.py``).
 
-Exit-path invariant: every member that takes an admission slot releases
-it through exactly one resolution call, on every path — cache replay,
-follower replay, deadline shed, budget rejection, execution error, or
-success — so the admission controller's in-flight count always returns
-to zero.
+Exit-path invariant: every member leaves through exactly one
+:meth:`Dispatcher._resolve` call, on every path — queue shed, cache
+replay, follower replay, deadline shed, budget rejection, execution
+error, or success — which runs, in order: admission → record → future
+→ slot → flight.  It gives back the admission slot, so the admission
+controller's in-flight count always returns to zero; records the
+result before the future resolves, so a caller holding its answer
+finds it in ``stats()`` and the telemetry; releases the queue slot; and
+settles the flight the member leads.
 """
 
 from __future__ import annotations
@@ -32,12 +38,18 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import Future
+from collections.abc import Iterable
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from repro import obs
+from repro.confidentiality.accountant import PrivacyAccountant
 from repro.confidentiality.queries import group_stats, member_release
 from repro.exceptions import DataError, PrivacyBudgetError, ReproError
+from repro.obs.metrics import Histogram
 from repro.serve.admission import REASON_OVERLOAD
 from repro.serve.protocol import (
     STATUS_ERROR,
@@ -53,11 +65,12 @@ from repro.serve.protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve.planner import QueryPlan
-    from repro.serve.server import QueryServer
+    from repro.serve.admission import AdmissionController
+    from repro.serve.budget import BudgetManager
+    from repro.serve.cache import AnswerCache
+    from repro.serve.config import ServeConfig
+    from repro.serve.planner import QueryPlan, QueryPlanner
 
-
-# -- dispatch ----------------------------------------------------------------
 
 @dataclass
 class _Member:
@@ -65,18 +78,18 @@ class _Member:
 
     request: QueryRequest | dict
     future: Future
-    arrival: float                    # time.monotonic() at submission
-    wall_start: float                 # time.perf_counter() at submission
+    start: float                      # time.perf_counter() at submission
     started: object = None            # obs clock tick (or None)
     telemetry: object = None          # obs handle captured at submission
     tenant: str = ""
     plan: "QueryPlan | None" = None
     admitted: bool = False
-    deadline_s: float | None = None   # absolute monotonic deadline
+    leads: bool = False               # opened its fingerprint's flight
+    deadline_s: float | None = None   # absolute perf_counter() deadline
 
 
 class Dispatcher:
-    """The asyncio front end: admission, coalescing, flush, resolution.
+    """The one owner of a request, from :meth:`submit` to its resolution.
 
     All batching state (``_groups``, ``_flights``, the flush timer) is
     touched only from the loop thread, so it needs no locks; the
@@ -85,10 +98,18 @@ class Dispatcher:
     the bounded-queue backpressure check.
     """
 
-    def __init__(self, server: "QueryServer"):
-        self._server = server
-        self._config = server.config
-        self._window_s = server.config.batch_window_ms / 1000.0
+    def __init__(self, config: "ServeConfig", planner: "QueryPlanner",
+                 budget: "BudgetManager", cache: "AnswerCache | None",
+                 admission: "AdmissionController | None"):
+        self._config = config
+        self._planner = planner
+        self._budget = budget
+        self._cache = cache
+        self._admission = admission
+        self._window_s = config.batch_window_ms / 1000.0
+        self._pool = ThreadPoolExecutor(
+            max_workers=config.workers, thread_name_prefix="repro-serve"
+        )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
@@ -99,6 +120,26 @@ class Dispatcher:
         self._groups: dict[tuple, list[_Member]] = {}
         self._flights: dict[object, list[_Member]] = {}
         self._timer: asyncio.TimerHandle | None = None
+        # Deterministic releases: each execution's generator is keyed by
+        # (server seed, per-fingerprint release ordinal, fingerprint
+        # words), never by arrival order — see _release_rng.
+        self._seed_entropy = int(config.seed)
+        self._rng_lock = threading.Lock()
+        self._release_ordinals: dict[str, int] = {}
+        # The metrics registry is not thread-safe: every telemetry
+        # write from the loop or a worker takes _obs_lock.
+        self._obs_lock = threading.Lock()
+        self._stats_lock = threading.Lock()
+        self._status_counts: dict[str, int] = {}
+        self._batch_stats = {
+            "batches": 0, "batched_queries": 0, "largest_batch": 0,
+            "coalesced": 0, "shed_deadline": 0, "shed_queue": 0,
+        }
+        # Always-on latency distribution (independent of repro.obs):
+        # stats()["latency"] exports p50/p90/p95/p99 in the same
+        # profile shape the bench harness and profiler report.
+        self._latency = Histogram("serve.query.duration",
+                                  quantiles=(0.50, 0.90, 0.95, 0.99))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -124,32 +165,16 @@ class Dispatcher:
             self._loop.close()
 
     def stop(self) -> None:
+        """Stop the loop, then wait for the worker pool to finish."""
         with self._start_lock:
-            if not self._started.is_set() or self._loop is None:
-                return
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            if self._thread is not None:
+            if self._started.is_set() and self._loop is not None:
+                self._loop.call_soon_threadsafe(self._loop.stop)
                 self._thread.join(timeout=10.0)
-
-    # -- backpressure accounting --------------------------------------------
-
-    def try_reserve_slot(self) -> bool:
-        """Take one bounded-queue slot, or refuse (shed at submission)."""
-        with self._cond:
-            if self._outstanding >= self._config.max_queue_depth:
-                return False
-            self._outstanding += 1
-            return True
-
-    def _release_slot(self) -> None:
-        with self._cond:
-            self._outstanding -= 1
-            if self._outstanding <= 0:
-                self._cond.notify_all()
+        self._pool.shutdown(wait=True)
 
     @property
     def outstanding(self) -> int:
-        """Requests admitted to the queue and not yet resolved."""
+        """Requests submitted and not yet resolved."""
         with self._cond:
             return self._outstanding
 
@@ -179,91 +204,154 @@ class Dispatcher:
 
     # -- submission (any thread → loop thread) ------------------------------
 
-    def enqueue(self, members: list[_Member]) -> None:
-        """Hand submitted members to the loop (one wakeup per chunk)."""
-        self.ensure_started()
-        self._loop.call_soon_threadsafe(self._admit_many, members)
+    def submit(self, requests: Iterable) -> list[Future]:
+        """Take a queue slot per request and hand the chunk to the loop.
 
-    # -- loop-thread admission ----------------------------------------------
+        A request that finds the bounded queue (``max_queue_depth``
+        submitted and unresolved requests) full is shed here with
+        ``STATUS_REJECTED_OVERLOAD``; the rest cross to the loop thread
+        in one wakeup.
+        """
+        telemetry = obs.get()
+        depth = self._config.max_queue_depth
+        futures: list[Future] = []
+        slotted: list[_Member] = []
+        for request in requests:
+            member = _Member(request=request, future=Future(),
+                             start=time.perf_counter(),
+                             started=self._tick(telemetry),
+                             telemetry=telemetry)
+            futures.append(member.future)
+            with self._cond:
+                has_slot = self._outstanding < depth
+                if has_slot:
+                    self._outstanding += 1
+            if has_slot:
+                slotted.append(member)
+                continue
+            self._note(shed_queue=1)
+            self._resolve(member, self._reject(
+                member, STATUS_REJECTED_OVERLOAD,
+                f"queue depth {depth} exceeded",
+            ), slot=False)
+        if slotted:
+            self.ensure_started()
+            self._loop.call_soon_threadsafe(self._admit_many, slotted)
+        return futures
+
+    # -- loop-thread admission and routing ----------------------------------
 
     def _admit_many(self, members: list[_Member]) -> None:
         for member in members:
-            self._admit(member)
+            self._guard(member, self._admit)
 
-    def _admit(self, member: _Member) -> None:
-        server = self._server
+    def _guard(self, member: _Member, step) -> None:
+        """Run one loop step for ``member``; a failure resolves it instead."""
         try:
-            request = member.request
-            if isinstance(request, dict):
-                request = QueryRequest.from_dict(request)
-                member.request = request
-            if request.version not in SUPPORTED_VERSIONS:
-                self._resolve(member, server._rejection(
-                    request, STATUS_REJECTED_VERSION,
-                    f"unsupported protocol version {request.version!r}; "
-                    f"supported: {list(SUPPORTED_VERSIONS)}",
-                ))
-                return
-            tenant = str(request.tenant)
-            member.tenant = tenant
-            if server.admission is not None:
-                reason = server.admission.try_admit(tenant)
-                if reason is not None:
-                    status = (STATUS_REJECTED_OVERLOAD
-                              if reason == REASON_OVERLOAD
-                              else STATUS_REJECTED_RATE)
-                    self._resolve(member, server._rejection(
-                        request, status, f"admission refused: {reason}"
-                    ))
-                    return
-                member.admitted = True
-            plan = server.planner.plan(request)
-            member.plan = plan
-            server._ensure_tenant(tenant)
-            deadline_ms = (request.deadline_ms
-                           if request.deadline_ms is not None
-                           else self._config.default_deadline_ms)
-            if deadline_ms is not None:
-                member.deadline_s = member.arrival + deadline_ms / 1000.0
-            if server.cache is not None:
-                answer = server.cache.get(plan.fingerprint, tenant=tenant)
-                if answer is not None:
-                    # Early cache-replay exit: free post-processing —
-                    # and _resolve still gives back the admission slot.
-                    self._resolve(member, QueryResult(
-                        tenant=tenant, status=STATUS_OK,
-                        value=answer.replay(), epsilon_charged=0.0,
-                        cached=True, fingerprint=plan.fingerprint,
-                        request_id=request.request_id,
-                    ))
-                    return
-                flight_key = self._flight_key(member)
-                followers = self._flights.get(flight_key)
-                if followers is not None:
-                    # A release with this exact fingerprint is already
-                    # pending or executing: coalesce and replay it.
-                    followers.append(member)
-                    server._note(coalesced=1)
-                    return
-                self._flights[flight_key] = []
-            self._enqueue_member(member)
+            step(member)
         except ReproError as error:
-            self._resolve(member, server._rejection(
-                member.request, STATUS_REJECTED_INVALID, str(error)
+            self._resolve(member, self._reject(
+                member, STATUS_REJECTED_INVALID, str(error)
             ))
         except Exception as error:  # the loop must never leak an exception
-            self._resolve(member, server._rejection(
-                member.request, STATUS_ERROR,
-                f"{type(error).__name__}: {error}",
+            self._resolve(member, self._reject(
+                member, STATUS_ERROR, f"{type(error).__name__}: {error}"
             ))
 
+    def _admit(self, member: _Member) -> None:
+        request = member.request
+        if isinstance(request, dict):
+            request = member.request = QueryRequest.from_dict(request)
+        if request.version not in SUPPORTED_VERSIONS:
+            self._resolve(member, self._reject(
+                member, STATUS_REJECTED_VERSION,
+                f"unsupported protocol version {request.version!r}; "
+                f"supported: {list(SUPPORTED_VERSIONS)}",
+            ))
+            return
+        member.tenant = str(request.tenant)
+        if self._admission is not None:
+            reason = self._admission.try_admit(member.tenant)
+            if reason is not None:
+                status = (STATUS_REJECTED_OVERLOAD
+                          if reason == REASON_OVERLOAD
+                          else STATUS_REJECTED_RATE)
+                self._resolve(member, self._reject(
+                    member, status, f"admission refused: {reason}"
+                ))
+                return
+            member.admitted = True
+        member.plan = self._planner.plan(request)
+        self._ensure_tenant(member.tenant)
+        deadline_ms = (request.deadline_ms
+                       if request.deadline_ms is not None
+                       else self._config.default_deadline_ms)
+        if deadline_ms is not None:
+            member.deadline_s = member.start + deadline_ms / 1000.0
+        self._route(member)
+
+    def _ensure_tenant(self, tenant: str) -> None:
+        if tenant in self._budget:
+            return
+        epsilon = self._config.default_epsilon_budget
+        if epsilon is None:
+            raise DataError(
+                f"unknown tenant {tenant!r} (no default budget configured)"
+            )
+        try:
+            self._budget.register(tenant, PrivacyAccountant(
+                epsilon, self._config.default_delta_budget
+            ))
+        except DataError:
+            # Two submissions raced the auto-registration; either wins.
+            if tenant not in self._budget:
+                raise
+
+    def _route(self, member: _Member) -> None:
+        """Replay the cached answer, join an open flight, or lead a new one."""
+        if self._cache is not None:
+            answer = self._cache.get(member.plan.fingerprint,
+                                     tenant=member.tenant)
+            if answer is not None:
+                # Free post-processing: a replay charges no ε.
+                self._resolve(member, self._answer(
+                    member, STATUS_OK, value=answer.replay(), cached=True
+                ))
+                return
+            key = self._flight_key(member)
+            followers = self._flights.get(key)
+            if followers is not None:
+                # A release with this exact fingerprint is already
+                # pending or executing: coalesce and replay it.
+                followers.append(member)
+                self._note(coalesced=1)
+                return
+            self._flights[key] = []
+            member.leads = True
+        self._enqueue(member)
+
     def _flight_key(self, member: _Member) -> object:
-        if self._server.cache is not None and \
-                self._server.cache.scope == "tenant":
+        if self._cache.scope == "tenant":
             return (member.tenant, member.plan.fingerprint)
         return member.plan.fingerprint
 
-    def _enqueue_member(self, member: _Member) -> None:
+    def _settle_flight(self, key: object, result: QueryResult) -> None:
+        """Hand a leader's outcome to the followers of its flight."""
+        for follower in self._flights.pop(key, ()):
+            if result.ok:
+                value = result.value
+                self._resolve(follower, self._answer(
+                    follower, STATUS_OK, cached=True,
+                    value=dict(value) if isinstance(value, dict) else value,
+                ))
+            else:
+                # The leader failed (shed, broke, or errored): the first
+                # follower leads a fresh release, the rest join it.
+                self._guard(follower, self._route)
+
+    # -- batch windows ------------------------------------------------------
+
+    def _enqueue(self, member: _Member) -> None:
         key = member.plan.group_key
         group = self._groups.setdefault(key, [])
         group.append(member)
@@ -293,48 +381,45 @@ class Dispatcher:
             self._dispatch_group(group)
 
     def _dispatch_group(self, group: list[_Member]) -> None:
-        self._server._note(batches=1, batched_queries=len(group),
-                           largest_batch=len(group))
+        self._note(batches=1, batched_queries=len(group),
+                   largest_batch=len(group))
         try:
-            self._server._pool.submit(self._execute_group, group)
+            self._pool.submit(self._execute_group, group)
         except RuntimeError as error:  # pool shut down mid-flight
             for member in group:
-                self._abandon(member, STATUS_ERROR,
-                              f"RuntimeError: {error}")
+                self._resolve(member, self._reject(
+                    member, STATUS_ERROR, f"RuntimeError: {error}"
+                ))
 
     # -- worker-thread execution --------------------------------------------
 
     def _execute_group(self, group: list[_Member]) -> None:
-        server = self._server
         payers: list[tuple[_Member, object]] = []
         for member in group:
             plan = member.plan
             try:
-                now = time.monotonic()
+                now = time.perf_counter()
                 if member.deadline_s is not None and now > member.deadline_s:
-                    server._note(shed_deadline=1)
-                    self._finish_release(member, server._rejection(
-                        member.request, STATUS_REJECTED_OVERLOAD,
+                    self._note(shed_deadline=1)
+                    self._resolve(member, self._reject(
+                        member, STATUS_REJECTED_OVERLOAD,
                         "deadline exceeded after "
-                        f"{(now - member.arrival) * 1000.0:.1f} ms",
+                        f"{(now - member.start) * 1000.0:.1f} ms",
                     ))
                     continue
                 try:
-                    reservation = server.budget.reserve(
+                    reservation = self._budget.reserve(
                         member.tenant, plan.epsilon, plan.delta
                     )
                 except PrivacyBudgetError as error:
-                    self._finish_release(member, QueryResult(
-                        tenant=member.tenant, status=STATUS_REJECTED_BUDGET,
-                        detail=str(error), fingerprint=plan.fingerprint,
-                        request_id=member.request.request_id,
+                    self._resolve(member, self._answer(
+                        member, STATUS_REJECTED_BUDGET, detail=str(error)
                     ))
                     continue
                 payers.append((member, reservation))
             except Exception as error:
-                self._finish_release(member, server._rejection(
-                    member.request, STATUS_ERROR,
-                    f"{type(error).__name__}: {error}",
+                self._resolve(member, self._reject(
+                    member, STATUS_ERROR, f"{type(error).__name__}: {error}"
                 ))
         if not payers:
             return
@@ -348,36 +433,28 @@ class Dispatcher:
                 else (STATUS_ERROR, f"{type(error).__name__}: {error}")
             )
             for member, reservation in payers:
-                server.budget.rollback(reservation)
-                self._finish_release(member, server._rejection(
-                    member.request, status, detail
-                ))
+                self._budget.rollback(reservation)
+                self._resolve(member, self._reject(member, status, detail))
             return
 
         for (member, reservation), value in zip(payers, values):
             plan = member.plan
             try:
-                server.budget.commit(reservation,
-                                     label=f"serve.{plan.kind}")
+                self._budget.commit(reservation, label=f"serve.{plan.kind}")
             except PrivacyBudgetError as error:
                 # Out-of-band spending beat us to the ledger between
                 # reserve and commit; the answer is discarded unreleased.
-                server.budget.rollback(reservation)
-                self._finish_release(member, QueryResult(
-                    tenant=member.tenant, status=STATUS_REJECTED_BUDGET,
-                    detail=str(error), fingerprint=plan.fingerprint,
-                    request_id=member.request.request_id,
+                self._budget.rollback(reservation)
+                self._resolve(member, self._answer(
+                    member, STATUS_REJECTED_BUDGET, detail=str(error)
                 ))
                 continue
-            if server.cache is not None:
-                server.cache.put(plan.fingerprint, value, plan.epsilon,
-                                 tenant=member.tenant)
-            self._finish_release(member, QueryResult(
-                tenant=member.tenant, status=STATUS_OK, value=value,
-                epsilon_charged=plan.epsilon, cached=False,
-                fingerprint=plan.fingerprint,
-                request_id=member.request.request_id,
-            ), value=value)
+            if self._cache is not None:
+                self._cache.put(plan.fingerprint, value, plan.epsilon,
+                                tenant=member.tenant)
+            self._resolve(member, self._answer(
+                member, STATUS_OK, value=value, epsilon_charged=plan.epsilon
+            ))
 
     def _execute_batch(self, plans: list["QueryPlan"]) -> list:
         """One coalesced group's answers: shared statistics, own noise.
@@ -386,88 +463,147 @@ class Dispatcher:
         each member draws from its own deterministic stream.  Nothing is
         memoised here — *answer* replay is the answer cache's job.
         """
-        server = self._server
-        rngs = [server._release_rng(plan.fingerprint) for plan in plans]
+        rngs = [self._release_rng(plan.fingerprint) for plan in plans]
         if self._config.backend_latency_s:
             time.sleep(self._config.backend_latency_s)
         template = plans[0]
-        table = server.planner.table(template.table)
+        table = self._planner.table(template.table)
         stats = group_stats(template, table.n_rows if template.kind == "count"
                             else table.column(template.column))
         return [member_release(stats, plan, rng)
                 for plan, rng in zip(plans, rngs)]
 
-    def _finish_release(self, member: _Member, result: QueryResult,
-                        value: object = None) -> None:
-        """Resolve a payer and settle its coalesced followers."""
-        self._resolve(member, result)
-        if self._server.cache is None:
-            return
-        flight_key = self._flight_key(member)
-        self._loop.call_soon_threadsafe(
-            self._settle_flight, flight_key, member.plan,
-            result.status == STATUS_OK, value,
+    def _release_rng(self, fingerprint: str) -> np.random.Generator:
+        """The deterministic noise stream for one release execution.
+
+        Keyed by (server seed, per-fingerprint release ordinal, the
+        fingerprint itself) — a pure function of *what* is being
+        released and *how many times* it has been released, never of
+        batching, worker count, or arrival interleaving.  With the
+        answer cache on, a fingerprint executes once (ordinal 0), which
+        is what makes batched and serial serving byte-identical.
+        """
+        with self._rng_lock:
+            ordinal = self._release_ordinals.get(fingerprint, 0)
+            self._release_ordinals[fingerprint] = ordinal + 1
+        words = [int(fingerprint[i:i + 8], 16)
+                 for i in range(0, len(fingerprint), 8)]
+        return np.random.default_rng(
+            np.random.SeedSequence([self._seed_entropy, ordinal, *words])
         )
 
-    def _settle_flight(self, flight_key: object, plan, ok: bool,
-                       value: object) -> None:
-        followers = self._flights.pop(flight_key, None)
-        if not followers:
-            return
-        if ok:
-            for follower in followers:
-                copied = dict(value) if isinstance(value, dict) else value
-                self._resolve(follower, QueryResult(
-                    tenant=follower.tenant, status=STATUS_OK, value=copied,
-                    epsilon_charged=0.0, cached=True,
-                    fingerprint=plan.fingerprint,
-                    request_id=follower.request.request_id,
-                ))
-            return
-        # The leader failed (shed, broke, or errored): the first
-        # follower leads a fresh release, the rest re-coalesce onto it.
-        for follower in followers:
-            self._readmit(follower)
+    # -- results and resolution (the one exit point) -------------------------
 
-    def _readmit(self, member: _Member) -> None:
-        server = self._server
-        try:
-            plan = member.plan
-            answer = server.cache.get(plan.fingerprint, tenant=member.tenant)
-            if answer is not None:
-                self._resolve(member, QueryResult(
-                    tenant=member.tenant, status=STATUS_OK,
-                    value=answer.replay(), epsilon_charged=0.0, cached=True,
-                    fingerprint=plan.fingerprint,
-                    request_id=member.request.request_id,
-                ))
-                return
-            flight_key = self._flight_key(member)
-            followers = self._flights.get(flight_key)
-            if followers is not None:
-                followers.append(member)
-                return
-            self._flights[flight_key] = []
-            self._enqueue_member(member)
-        except Exception as error:
-            self._resolve(member, server._rejection(
-                member.request, STATUS_ERROR,
-                f"{type(error).__name__}: {error}",
-            ))
+    @staticmethod
+    def _answer(member: _Member, status: str, **fields) -> QueryResult:
+        """A planned member's result, with its tenant, fingerprint and id."""
+        return QueryResult(
+            tenant=member.tenant, status=status,
+            fingerprint=member.plan.fingerprint,
+            request_id=member.request.request_id, **fields,
+        )
 
-    # -- resolution (the one exit point) -------------------------------------
+    @staticmethod
+    def _reject(member: _Member, status: str, detail: str) -> QueryResult:
+        """A rejection naming whatever tenant and request id it can find.
 
-    def _resolve(self, member: _Member, result: QueryResult) -> None:
-        server = self._server
+        A dict request that failed to parse has no ``QueryRequest``, so
+        both fall back to the dict's keys.
+        """
+        request = member.request
+        tenant = getattr(request, "tenant", None)
+        if tenant is None and isinstance(request, dict):
+            tenant = request.get("tenant")
+        request_id = getattr(request, "request_id", None)
+        if request_id is None and isinstance(request, dict):
+            request_id = request.get("request_id")
+        return QueryResult(
+            tenant=str(tenant or "<unknown>"), status=status, detail=detail,
+            request_id=request_id,
+        )
+
+    def _resolve(self, member: _Member, result: QueryResult, *,
+                 slot: bool = True) -> None:
+        """Admission → record → future → slot → flight, once per member.
+
+        ``slot=False`` is the shed at submission, which never took one.
+        """
         if member.admitted:
             member.admitted = False
-            server.admission.release(member.tenant)
-        result.duration = time.perf_counter() - member.wall_start
+            self._admission.release(member.tenant)
+        result.duration = time.perf_counter() - member.start
+        self._record(member, result)
         member.future.set_result(result)
-        self._release_slot()
-        server._record_member(member, result)
+        if slot:
+            with self._cond:
+                self._outstanding -= 1
+                if self._outstanding <= 0:
+                    self._cond.notify_all()
+        if member.leads:
+            self._loop.call_soon_threadsafe(
+                self._settle_flight, self._flight_key(member), result
+            )
 
-    def _abandon(self, member: _Member, status: str, detail: str) -> None:
-        self._resolve(member, self._server._rejection(
-            member.request, status, detail
-        ))
+    # -- counters and telemetry ---------------------------------------------
+
+    def _tick(self, telemetry) -> float | None:
+        if telemetry is None:
+            return None
+        with self._obs_lock:
+            return telemetry.clock.now()
+
+    def _note(self, **counts) -> None:
+        """Bump batching/backpressure counters (``largest_batch`` is a max)."""
+        with self._stats_lock:
+            for name, amount in counts.items():
+                if name == "largest_batch":
+                    if amount > self._batch_stats["largest_batch"]:
+                        self._batch_stats["largest_batch"] = amount
+                else:
+                    self._batch_stats[name] += amount
+
+    def _record(self, member: _Member, result: QueryResult) -> None:
+        with self._stats_lock:
+            self._status_counts[result.status] = (
+                self._status_counts.get(result.status, 0) + 1
+            )
+            self._latency.observe(result.duration)
+        telemetry = member.telemetry
+        if telemetry is None:
+            return
+        kind = getattr(member.request, "kind", None)
+        if kind is None and isinstance(member.request, dict):
+            kind = member.request.get("kind")
+        with self._obs_lock:
+            end = telemetry.clock.now()
+            telemetry.tracer.record_span(
+                "serve.query", member.started, end,
+                tenant=result.tenant, kind=str(kind), status=result.status,
+                cached=result.cached, epsilon_charged=result.epsilon_charged,
+            )
+            telemetry.metrics.counter("serve.requests",
+                                      status=result.status).inc()
+            if self._cache is not None and result.ok:
+                name = "serve.cache.hits" if result.cached else "serve.cache.misses"
+                telemetry.metrics.counter(name).inc()
+            telemetry.metrics.histogram("serve.query.duration").observe(
+                result.duration
+            )
+            if result.tenant in self._budget:
+                telemetry.metrics.gauge(
+                    "serve.budget.epsilon_remaining", tenant=result.tenant
+                ).set(self._budget.remaining(result.tenant))
+
+    def stats(self) -> dict[str, object]:
+        """Statuses, latency percentiles, batching counters, outstanding."""
+        with self._stats_lock:
+            statuses = dict(self._status_counts)
+            batching = dict(self._batch_stats)
+            latency = (self._latency.summary()
+                       if self._latency.count else None)
+        return {
+            "statuses": statuses,
+            "latency": latency,
+            "batching": batching,
+            "outstanding": self.outstanding,
+        }

@@ -96,17 +96,6 @@ class AnswerCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, fingerprint: str) -> bool:
-        with self._lock:
-            if self.scope == SCOPE_TENANT:
-                return any(key[-1] == fingerprint for key in self._entries)
-            return (fingerprint,) in self._entries
-
-    def clear(self) -> None:
-        """Drop every entry (stats are kept)."""
-        with self._lock:
-            self._entries.clear()
-
     @property
     def hit_rate(self) -> float:
         """hits / (hits + misses), 0.0 before any lookup."""

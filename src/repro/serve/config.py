@@ -14,7 +14,7 @@ configuration produced a response log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.exceptions import DataError
 from repro.serve.cache import SCOPE_GLOBAL, SCOPE_TENANT
@@ -35,7 +35,7 @@ class ServeConfig(Artifact):
     batching — every miss executes immediately (the unbatched path,
     byte-identical to any batched one under the same seed).
 
-    Backpressure: at most ``max_queue_depth`` requests may be admitted
+    Backpressure: at most ``max_queue_depth`` requests may be submitted
     and unresolved at once — beyond that, submissions are shed
     immediately with ``STATUS_REJECTED_OVERLOAD``.  A request older
     than its deadline (``deadline_ms`` on the request, else
@@ -98,8 +98,3 @@ class ServeConfig(Artifact):
             raise DataError("default_delta_budget must be non-negative")
         if self.backend_latency_s < 0:
             raise DataError("backend_latency_s must be non-negative")
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        """The config's field names (the CLI builds kwargs from these)."""
-        return tuple(f.name for f in fields(cls))

@@ -118,11 +118,6 @@ class QueryPlanner:
             self._plan_cache.clear()
 
     @property
-    def registry(self):
-        """The underlying :class:`~repro.relational.SchemaRegistry`."""
-        return self._registry
-
-    @property
     def table_names(self) -> list[str]:
         """Registered table names, in registration order."""
         return self._registry.table_names

@@ -19,7 +19,7 @@ the exact shape they always did.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from repro.confidentiality.queries import KINDS
 from repro.exceptions import DataError
@@ -132,7 +132,6 @@ class QueryResult:
     detail: str | None = None
     request_id: str | None = None
     duration: float | None = None
-    attributes: dict = field(default_factory=dict)
     version: int = PROTOCOL_VERSION
 
     @property

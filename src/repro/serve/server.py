@@ -21,9 +21,12 @@ with the invariants the tests pin down:
   coalesced member is charged individually through the same two-phase
   reserve/commit as a serial query.
 
-Architecture: submissions land on an asyncio dispatch loop
-(:class:`~repro.serve.batching.Dispatcher`, one daemon thread) that
-admits, plans, answers cache hits inline, and coalesces cache misses by
+Architecture: the server builds the components (planner, budgets,
+answer cache, admission) and owns table and tenant registration; one
+:class:`~repro.serve.batching.Dispatcher` owns each request's lifecycle
+from submission to its resolved future.  Submissions land on an asyncio
+dispatch loop (one daemon thread) that admits, plans, answers cache
+hits inline, and coalesces cache misses by
 :attr:`~repro.serve.planner.QueryPlan.group_key`; flushed groups
 execute on a bounded ``ThreadPoolExecutor``, which computes each
 group's data-plane statistics once
@@ -32,7 +35,8 @@ draws its own noise (:func:`~repro.confidentiality.queries.member_release`)
 — the two kernels every ``dp_*`` function runs.  Backpressure is
 explicit: a bounded outstanding-request queue sheds at submission and
 per-request deadlines shed at execution, both with
-``STATUS_REJECTED_OVERLOAD`` and zero ε.
+``STATUS_REJECTED_OVERLOAD`` and zero ε.  A request is recorded in
+:meth:`QueryServer.stats` and the telemetry before its result resolves.
 
 The public surface is :meth:`submit` / :meth:`submit_many` /
 :meth:`drain`; :meth:`query` and :meth:`submit_batch` are thin
@@ -46,28 +50,18 @@ per-setting kwargs.
 from __future__ import annotations
 
 import asyncio
-import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 
-import numpy as np
-
-from repro import obs
-from repro.obs.metrics import Histogram
 from repro.confidentiality.accountant import PrivacyAccountant
 from repro.data.table import Table
 from repro.exceptions import DataError
 from repro.serve.admission import AdmissionController
-from repro.serve.batching import Dispatcher, _Member
+from repro.serve.batching import Dispatcher
 from repro.serve.budget import BudgetManager
 from repro.serve.cache import AnswerCache
 from repro.serve.config import ServeConfig
 from repro.serve.planner import QueryPlanner
-from repro.serve.protocol import (
-    STATUS_REJECTED_OVERLOAD,
-    QueryRequest,
-    QueryResult,
-)
+from repro.serve.protocol import QueryRequest, QueryResult
 
 
 class PendingResult:
@@ -138,29 +132,9 @@ class QueryServer:
         else:
             self.admission = None
 
-        self._pool = ThreadPoolExecutor(
-            max_workers=config.workers, thread_name_prefix="repro-serve"
-        )
         self._closed = False
-        # Deterministic releases: each execution's generator is keyed by
-        # (server seed, per-fingerprint release ordinal, fingerprint
-        # words), never by arrival order — see _release_rng.
-        self._seed_entropy = int(config.seed)
-        self._rng_lock = threading.Lock()
-        self._release_ordinals: dict[str, int] = {}
-        self._obs_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        self._status_counts: dict[str, int] = {}
-        self._batch_stats = {
-            "batches": 0, "batched_queries": 0, "largest_batch": 0,
-            "coalesced": 0, "shed_deadline": 0, "shed_queue": 0,
-        }
-        # Always-on latency distribution (independent of repro.obs):
-        # stats()["latency"] exports p50/p90/p95/p99 in the same
-        # profile shape the bench harness and profiler report.
-        self._latency = Histogram("serve.query.duration",
-                                  quantiles=(0.50, 0.90, 0.95, 0.99))
-        self._dispatcher = Dispatcher(self)
+        self._dispatcher = Dispatcher(config, self.planner, self.budget,
+                                      self.cache, self.admission)
 
     # -- registration -------------------------------------------------------
 
@@ -193,12 +167,12 @@ class QueryServer:
     def submit(self, request: QueryRequest | dict) -> PendingResult:
         """Enqueue one request; returns immediately with a :class:`PendingResult`.
 
-        When the bounded queue (``config.max_queue_depth`` admitted and
+        When the bounded queue (``config.max_queue_depth`` submitted and
         unresolved requests) is full, the request is shed *here* with
         ``STATUS_REJECTED_OVERLOAD`` — the pending result resolves
         instantly and no ε is spent.
         """
-        return self._submit_chunk([request])[0]
+        return self.submit_many([request])[0]
 
     def submit_many(self, requests) -> list[PendingResult]:
         """Enqueue a batch in one dispatcher wakeup, preserving order.
@@ -207,7 +181,10 @@ class QueryServer:
         boundary once, and compatible queries coalesce into vectorized
         releases on the loop.
         """
-        return self._submit_chunk(list(requests))
+        if self._closed:
+            raise DataError("server is closed")
+        return [PendingResult(future)
+                for future in self._dispatcher.submit(requests)]
 
     def drain(self, timeout: float | None = None) -> None:
         """Flush open batch windows and block until nothing is in flight."""
@@ -220,7 +197,7 @@ class QueryServer:
 
         Wrapper: ``submit(request).result()``.
         """
-        return self._submit_chunk([request])[0].result()
+        return self.submit(request).result()
 
     def submit_batch(self, requests) -> list[QueryResult]:
         """Serve a batch, preserving request order.
@@ -238,7 +215,6 @@ class QueryServer:
             self._dispatcher.drain()
         finally:
             self._dispatcher.stop()
-            self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryServer":
         return self
@@ -246,152 +222,10 @@ class QueryServer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _submit_chunk(self, requests: list) -> list[PendingResult]:
-        if self._closed:
-            raise DataError("server is closed")
-        telemetry = obs.get()
-        pending: list[PendingResult] = []
-        members: list[_Member] = []
-        for request in requests:
-            future: Future = Future()
-            member = _Member(
-                request=request, future=future,
-                arrival=time.monotonic(), wall_start=time.perf_counter(),
-                started=self._tick(telemetry), telemetry=telemetry,
-            )
-            pending.append(PendingResult(future))
-            if not self._dispatcher.try_reserve_slot():
-                self._note(shed_queue=1)
-                result = self._rejection(
-                    request, STATUS_REJECTED_OVERLOAD,
-                    f"queue depth {self.config.max_queue_depth} exceeded",
-                )
-                result.duration = time.perf_counter() - member.wall_start
-                future.set_result(result)
-                self._record_member(member, result)
-                continue
-            members.append(member)
-        if members:
-            self._dispatcher.enqueue(members)
-        return pending
-
-    # -- tenancy -------------------------------------------------------------
-
-    def _ensure_tenant(self, tenant: str) -> None:
-        if tenant in self.budget:
-            return
-        if self.config.default_epsilon_budget is None:
-            raise DataError(
-                f"unknown tenant {tenant!r} (no default budget configured)"
-            )
-        try:
-            self.register_tenant(
-                tenant,
-                self.config.default_epsilon_budget,
-                self.config.default_delta_budget,
-            )
-        except DataError:
-            # Two submissions raced the auto-registration; either wins.
-            if tenant not in self.budget:
-                raise
-
-    # -- execution ----------------------------------------------------------
-
-    def _release_rng(self, fingerprint: str) -> np.random.Generator:
-        """The deterministic noise stream for one release execution.
-
-        Keyed by (server seed, per-fingerprint release ordinal, the
-        fingerprint itself) — a pure function of *what* is being
-        released and *how many times* it has been released, never of
-        batching, worker count, or arrival interleaving.  With the
-        answer cache on, a fingerprint executes once (ordinal 0), which
-        is what makes batched and serial serving byte-identical.
-        """
-        with self._rng_lock:
-            ordinal = self._release_ordinals.get(fingerprint, 0)
-            self._release_ordinals[fingerprint] = ordinal + 1
-        words = [int(fingerprint[i:i + 8], 16)
-                 for i in range(0, len(fingerprint), 8)]
-        return np.random.default_rng(
-            np.random.SeedSequence([self._seed_entropy, ordinal, *words])
-        )
-
-    # -- rejection / telemetry ----------------------------------------------
-
-    def _rejection(self, request, status: str, detail: str) -> QueryResult:
-        tenant = getattr(request, "tenant", None)
-        if tenant is None and isinstance(request, dict):
-            tenant = request.get("tenant")
-        request_id = getattr(request, "request_id", None)
-        if request_id is None and isinstance(request, dict):
-            request_id = request.get("request_id")
-        return QueryResult(
-            tenant=str(tenant or "<unknown>"), status=status, detail=detail,
-            request_id=request_id,
-        )
-
-    def _tick(self, telemetry) -> float | None:
-        if telemetry is None:
-            return None
-        with self._obs_lock:
-            return telemetry.clock.now()
-
-    def _note(self, **counts) -> None:
-        """Bump batching/backpressure counters (``largest_batch`` is a max)."""
-        with self._stats_lock:
-            for name, amount in counts.items():
-                if name == "largest_batch":
-                    if amount > self._batch_stats["largest_batch"]:
-                        self._batch_stats["largest_batch"] = amount
-                else:
-                    self._batch_stats[name] += amount
-
-    def _record_member(self, member: _Member, result: QueryResult) -> None:
-        self._record(member.telemetry, member.request, result, member.started)
-
-    def _record(self, telemetry, request, result: QueryResult,
-                started: float | None) -> None:
-        with self._stats_lock:
-            self._status_counts[result.status] = (
-                self._status_counts.get(result.status, 0) + 1
-            )
-            if result.duration is not None:
-                self._latency.observe(result.duration)
-        if telemetry is None:
-            return
-        kind = getattr(request, "kind", None)
-        if kind is None and isinstance(request, dict):
-            kind = request.get("kind")
-        with self._obs_lock:
-            end = telemetry.clock.now()
-            telemetry.tracer.record_span(
-                "serve.query", started, end,
-                tenant=result.tenant, kind=str(kind), status=result.status,
-                cached=result.cached, epsilon_charged=result.epsilon_charged,
-            )
-            telemetry.metrics.counter("serve.requests",
-                                      status=result.status).inc()
-            if self.cache is not None and result.ok:
-                name = "serve.cache.hits" if result.cached else "serve.cache.misses"
-                telemetry.metrics.counter(name).inc()
-            if result.duration is not None:
-                telemetry.metrics.histogram("serve.query.duration").observe(
-                    result.duration
-                )
-            if result.tenant in self.budget:
-                telemetry.metrics.gauge(
-                    "serve.budget.epsilon_remaining", tenant=result.tenant
-                ).set(self.budget.remaining(result.tenant))
-
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> dict[str, object]:
         """Serving counters: statuses, latency, batching, cache, budgets."""
-        with self._stats_lock:
-            statuses = dict(self._status_counts)
-            batching = dict(self._batch_stats)
-            latency = (self._latency.summary()
-                       if self._latency.count else None)
         tenants = {
             tenant: {
                 "epsilon_spent": self.budget.accountant(tenant).epsilon_spent,
@@ -401,10 +235,7 @@ class QueryServer:
             for tenant in self.budget.tenants
         }
         return {
-            "statuses": statuses,
-            "latency": latency,
-            "batching": batching,
-            "outstanding": self._dispatcher.outstanding,
+            **self._dispatcher.stats(),
             "cache": self.cache.stats() if self.cache is not None else None,
             "tenants": tenants,
         }

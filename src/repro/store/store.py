@@ -152,20 +152,10 @@ class ArtifactStore:
         Undecodable entries are deleted and reported as misses — a cache
         recomputes on corruption, it never crashes or replays garbage.
         """
-        text = self.backend.get(key)
-        if text is None:
+        value, _ = self._replay(key)
+        if value is _MISS:
             self._count("misses")
             return default
-        try:
-            envelope = codec.loads(text)
-            value = envelope["value"]
-        except (DataError, KeyError, TypeError, ValueError):
-            self.backend.delete(key)
-            self._count("corruptions")
-            self._count("misses")
-            return default
-        self._count("hits")
-        self._count_bytes("bytes_read", len(text))
         return value
 
     def put(self, key: str, value, tags: tuple[str, ...] = (),
@@ -211,11 +201,12 @@ class ArtifactStore:
     # -- memoization ---------------------------------------------------------
 
     def _replay(self, key: str):
-        """``(value, rng_after)`` stored under ``key``, or ``_MISS``.
+        """``(value, rng_after)`` stored under ``key``, or ``(_MISS, None)``.
 
-        Unlike :meth:`get`, a plain absence is *not* counted as a miss
-        here — the memoize paths count exactly one hit or one miss per
-        lookup themselves.  Corruption still deletes and counts.
+        Every read decodes here: a hit counts a hit and its bytes, and
+        an undecodable entry is deleted and counts a corruption.  A miss
+        is left to the caller — :meth:`get` and the memoize paths each
+        count exactly one hit or one miss per lookup.
         """
         text = self.backend.get(key)
         if text is None:

@@ -19,10 +19,13 @@ The high-order bits, in order of importance:
 
 import asyncio
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.confidentiality.accountant import PrivacyAccountant
 from repro.confidentiality.queries import (
     dp_count,
@@ -365,6 +368,41 @@ def test_member_release_error_rolls_back_the_whole_group(table, monkeypatch):
     assert server.stats()["outstanding"] == 0
 
 
+def test_followers_of_a_failed_leader_lead_a_fresh_release(table,
+                                                          monkeypatch):
+    real_release = batching.member_release
+    calls = []
+
+    def fail_the_first_release(stats, plan, rng):
+        calls.append(plan.fingerprint)
+        if len(calls) == 1:
+            raise RuntimeError("injected leader fault")
+        return real_release(stats, plan, rng)
+
+    monkeypatch.setattr(batching, "member_release", fail_the_first_release)
+    admission = AdmissionController(max_inflight=8)
+    config = ServeConfig(workers=1, seed=7, backend_latency_s=0.02,
+                         default_epsilon_budget=1.0)
+    server = QueryServer(config, admission=admission)
+    server.register_table("t", table)
+    with server:
+        # The leader's release sleeps 20 ms, so both repeats join its
+        # flight; when it fails, the first follower leads a fresh one.
+        count = QueryRequest(tenant="a", kind="count", epsilon=0.1)
+        leader, payer, replay = server.submit_batch([count] * 3)
+        server.drain()
+        assert admission.inflight == 0
+    assert leader.status == STATUS_ERROR
+    assert "injected leader fault" in leader.detail
+    assert payer.ok and not payer.cached and payer.epsilon_charged == 0.1
+    assert replay.ok and replay.cached and replay.epsilon_charged == 0.0
+    assert replay.value == payer.value
+    assert len(calls) == 2
+    ledger = server.budget.accountant("a").ledger
+    assert [entry.epsilon for entry in ledger] == [0.1]
+    assert server.stats()["outstanding"] == 0
+
+
 def test_coalesced_duplicates_release_admission(table):
     """Concurrent identical misses coalesce — every member releases."""
     admission = AdmissionController(max_inflight=64)
@@ -380,6 +418,36 @@ def test_coalesced_duplicates_release_admission(table):
     assert sum(not r.cached for r in results) == 1   # one payer
     assert admission.inflight == 0
     assert server.stats()["batching"]["coalesced"] >= 1
+
+
+class _SlowOffMainThread(obs.TickClock):
+    """A tick clock that takes 50 ms to read off the test's thread."""
+
+    def __init__(self):
+        super().__init__()
+        self._main = threading.get_ident()
+
+    def now(self) -> float:
+        if threading.get_ident() != self._main:
+            time.sleep(0.05)
+        return super().now()
+
+
+def test_a_resolved_result_is_already_recorded(table):
+    """A caller holding its answer finds it in stats() and the telemetry."""
+    telemetry = obs.configure(clock=_SlowOffMainThread())
+    try:
+        with make_server(table, default_epsilon_budget=10.0) as server:
+            count = QueryRequest(tenant="a", kind="count", epsilon=0.1)
+            # A fresh release resolves on a worker, a replay on the loop.
+            for served in (1, 2):
+                server.query(count)
+                spans = [span for span in telemetry.tracer.spans
+                         if span.name == "serve.query"]
+                assert len(spans) == served
+                assert sum(server.stats()["statuses"].values()) == served
+    finally:
+        obs.reset()
 
 
 # -- protocol versioning ----------------------------------------------------

@@ -280,6 +280,7 @@ def test_get_of_tampered_payload_returns_default():
     store.backend._entries["k"] = "{not json"
     assert store.get("k", default="fallback") == "fallback"
     assert store.corruptions == 1
+    assert store.misses == 1
     assert "k" not in store
 
 
