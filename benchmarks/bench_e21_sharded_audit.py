@@ -1,16 +1,17 @@
 """E21 — sharded out-of-core FACT audits: scaling + byte identity + RSS.
 
 ROADMAP claim: sharding is a wall-clock/memory knob, never a results
-knob.  ``FACTAuditor`` over a ``PartitionedTable`` runs one map task
-per shard (row-wise-pure partials) over the process backend plus exact
+knob.  ``FACTAuditor`` over a ``PartitionedTable`` runs one map node
+per shard (row-wise-pure partials) on the engine's threads plus exact
 combines in shard order, and the report's fingerprint equals the
 serial one's by construction.  This bench measures three promises:
 
 * **Shard scaling** — the same audit runs serially and sharded at
   1/2/4 shards (``n_jobs`` matched to the shard count, process
-  backend).  On a box with at least four cores the 4-shard run must
-  beat serial by ``MIN_SHARDED_SPEEDUP``; on fewer cores the rows are
-  reported but not enforced (map tasks have nothing to overlap onto).
+  backend for the sections' resampling maps).  On a box with at least
+  four cores the 4-shard run must beat serial by
+  ``MIN_SHARDED_SPEEDUP``; on fewer cores the rows are reported but
+  not enforced (map nodes have nothing to overlap onto).
 * **Byte identity** — *every* sharded run, at every shard count, must
   reproduce the serial report's fingerprint exactly.  Enforced
   unconditionally, on any machine.
@@ -128,8 +129,8 @@ def _rss_probe(mode: str, smoke: bool) -> int:
         report = auditor.audit(model, parts,
                                np.random.default_rng(SEED + 1))
     wall = time.perf_counter() - start
-    # Linux ru_maxrss is KiB; RUSAGE_SELF is the coordinator only — the
-    # map-task children each hold one shard by construction.
+    # Linux ru_maxrss is KiB; RUSAGE_SELF is the coordinator, whose
+    # engine threads run the map nodes, one shard each.
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({"mode": mode, "rss_kb": rss_kb, "wall_s": wall,
                       "fingerprint": report.fingerprint()}))

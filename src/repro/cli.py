@@ -291,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker fan-out (default: $REPRO_N_JOBS)")
     audit.add_argument("--backend", choices=("thread", "process"),
                        default="thread",
-                       help="fan-out backend; process dispatches shard "
-                            "map tasks as real subprocesses")
+                       help="fan-out backend for the sections' "
+                            "resampling maps; shard maps and sections "
+                            "always run on threads")
     audit.set_defaults(handler=_cmd_audit)
 
     datasheet = sub.add_parser("datasheet", help="render a dataset datasheet")

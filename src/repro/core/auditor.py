@@ -49,16 +49,15 @@ from repro.transparency.surrogate import fit_surrogate
 
 
 def _audit_shard_partial(model: TableClassifier, qi_names: tuple,
-                         shard: Table, rng) -> dict:
-    """One shard's contribution to every pillar (the map task body).
+                         shard: Table) -> dict:
+    """One shard's contribution to every pillar (the map node's body).
 
     Row-wise pure: each returned array is exactly the corresponding rows
     of the whole-table computation (the encoder's statistics and the
     estimator's weights are frozen at fit time), so concatenating the
     partials in shard order reproduces the unsharded arrays *bitwise* —
     which is what makes the sharded sections byte-identical by
-    construction.  Module-level so ``functools.partial`` of it pickles
-    into a process worker.
+    construction.
     """
     labels = model.labels(shard)
     probabilities = model.predict_proba(shard)
@@ -172,9 +171,9 @@ class FACTAuditor:
         """The audit as a map/combine plan over ``data``'s shards.
 
         A plain ``Table`` is the one-shard case.  Level 0 is one map
-        node per shard (``partial.shard{i}``), each a picklable process
-        task computing that shard's row-wise-pure arrays and exact
-        contingency counts; with a store the partials *spill* (tagged
+        node per shard (``partial.shard{i}``), each computing that
+        shard's row-wise-pure arrays and exact contingency counts on
+        the executor's threads; with a store the partials *spill* (tagged
         ``shard:<fp>``), so references rather than values travel to
         level 1.  Level 1 is the four pillar sections as combine nodes:
         each gathers the partials in shard order in one pass —

@@ -5,9 +5,8 @@ one logical table.  Each shard is either a materialized
 :class:`~repro.data.table.Table` or a zero-argument *source* callable
 producing one on demand — the latter is what makes datasets larger than
 memory workable: the coordinator never has to hold more than one shard
-(plus combined partial statistics) at a time, and process map tasks
-(see :mod:`repro.engine.sharding`) load their own shard inside the
-worker.
+(plus combined partial statistics) at a time, and each shard-map node
+(see :mod:`repro.engine.sharding`) loads its own shard where it runs.
 
 Identity is compositional: every shard has its own content fingerprint
 (:func:`~repro.store.table_fingerprint`), and the dataset fingerprint
@@ -143,9 +142,7 @@ class PartitionedTable:
         Each source is loaded on demand and must return a table with the
         declared ``schema`` signature.  Sources should be *pure*: loads
         must return identical content every time, or fingerprints (and
-        cache keys derived from them) are meaningless.  For process-
-        backend map tasks, sources must also be picklable — module-level
-        functions and :func:`functools.partial` of them qualify.
+        cache keys derived from them) are meaningless.
         """
         return cls(tuple(sources), schema=schema, shard_rows=shard_rows)
 
@@ -178,15 +175,6 @@ class PartitionedTable:
         if self._rows[index] is None:
             self.shard(index)
         return self._rows[index]
-
-    def shard_source(self, index: int) -> Table | Callable[[], Table]:
-        """The raw shard: a table, or the lazy zero-argument loader.
-
-        What a process map task closes over — the loader travels to the
-        worker and materializes there, so the coordinator never touches
-        the rows (see :func:`repro.engine.sharding.shard_map_nodes`).
-        """
-        return self._shards[index]
 
     def shard(self, index: int) -> Table:
         """Materialize shard ``index`` (validated against the schema).

@@ -39,7 +39,6 @@ from repro.engine.plan import Plan
 from repro.engine.sharding import (
     ShardPartials,
     combine_node,
-    shard_map,
     shard_map_nodes,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "ShardPartials",
     "combine_node",
     "seed_identity",
-    "shard_map",
     "shard_map_nodes",
     "value_fingerprint",
 ]

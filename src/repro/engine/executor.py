@@ -14,10 +14,9 @@ re-implemented at every call site:
   never bytes.
 * **One node runner.**  For each level the coordinator keys, looks up
   and commits every node in plan order, and only the misses fan out,
-  in one :meth:`ParallelExecutor.call` — as picklable node tasks on
-  process workers, or as node computations on threads — so workers
-  only compute.  A run without a store keys nothing, so it pays no
-  fingerprinting cost.
+  as node computations in one :meth:`ParallelExecutor.call` on the
+  executor's thread pool, so workers only compute.  A run without a
+  store keys nothing, so it pays no fingerprinting cost.
 * **Observability per node.**  With :mod:`repro.obs` configured, each
   node gets a span named ``{executor.name}:{node.label}`` carrying the
   cache outcome (``hit``/``miss``/``uncacheable``) and its logical wait
@@ -112,17 +111,13 @@ class Executor:
         Fan-out within a level; ``None`` defers to ``$REPRO_N_JOBS``
         then 1, ``-1`` uses every core.
     backend:
-        ``"serial"``, ``"thread"``, or ``"process"``.  A level's misses
-        run as process map tasks only when every one of them carries a
-        picklable ``task`` (the shard maps) and ``n_jobs > 1``; node
-        computations are closures, so otherwise ``"process"`` runs them
-        on threads — node *internals* (e.g. a section's own resampling
-        ``pmap``) still honour the requested backend through their own
-        parameters.
+        ``"serial"``, ``"thread"``, or ``"process"``.  Node computations
+        are closures, so ``"process"`` runs them on threads; node
+        *internals* (e.g. a section's own resampling ``pmap``) still
+        honour the requested backend through their own parameters.
     name:
         Span prefix: node spans are named ``{name}:{node.label}``.
-        Computed nodes count under ``{name}.pool`` (threads/serial) or
-        ``{name}.map`` (process tasks).
+        Computed nodes count under ``{name}.pool``.
     """
 
     def __init__(self, n_jobs: int | None = None, backend: str = "serial",
@@ -134,11 +129,6 @@ class Executor:
             name=f"{name}.pool",
         )
         self.n_jobs = self._pool.n_jobs
-        self._tasks = ParallelExecutor(
-            n_jobs=self.n_jobs, backend="process", chunk_size=1,
-            name=f"{name}.map",
-        ) if backend == "process" and self.n_jobs > 1 else None
-        self.backend = backend
         self.name = name
 
     # -- public API ---------------------------------------------------------
@@ -285,16 +275,11 @@ class Executor:
             return outcomes
 
         nodes = [node for _, node, _ in misses]
-        if self._tasks is not None and all(
-            node.task is not None for node in nodes
-        ):
-            pool, calls = self._tasks, [node.task for node in nodes]
-        else:
-            pool = self._pool
-            calls = [self._computation(node, results, seeds, shared_rng,
-                                       telemetry) for node in nodes]
         try:
-            values = pool.call(calls)
+            values = self._pool.call([
+                self._computation(node, results, seeds, shared_rng,
+                                  telemetry) for node in nodes
+            ])
         except ParallelTaskError as error:
             self._raise_node_error(error, nodes, telemetry, parent_id)
 

@@ -125,16 +125,6 @@ class Node:
         ``annotate(value, inputs) -> dict`` of extra span attributes
         derived from the node's result (e.g. row counts).  Called on the
         coordinator after the node completes, never inside a worker.
-    task:
-        Optional *picklable* zero-argument callable equivalent to
-        ``fn(inputs, rng)`` for this node (everything baked in at
-        build time — e.g. ``functools.partial`` of a module-level
-        function; a task node declares no ``inputs`` or ``rng``).  When
-        every node a plan level must compute declares one, an executor
-        built with ``backend="process"`` and ``n_jobs > 1`` dispatches
-        them as real process map tasks instead of running ``fn`` on
-        threads — the shard-map fan-out path.  ``fn`` remains the
-        thread/serial execution form and must compute the same value.
     spill:
         ``True`` commits the node's value to the store and passes a
         :class:`~repro.store.Spilled` reference downstream instead of
@@ -154,7 +144,6 @@ class Node:
                  record_params: dict | None = None,
                  tags: tuple[str, ...] | Callable = (),
                  annotate: Callable | None = None,
-                 task: Callable | None = None,
                  spill: bool = False):
         if not name or not isinstance(name, str):
             raise PlanError("node name must be a non-empty string")
@@ -180,21 +169,6 @@ class Node:
         if annotate is not None and not callable(annotate):
             raise PlanError(f"node {name!r}: annotate must be callable")
         self.annotate = annotate
-        if task is not None:
-            if not callable(task):
-                raise PlanError(f"node {name!r}: task must be callable")
-            if self.inputs:
-                raise PlanError(
-                    f"node {name!r}: a process task must close over its "
-                    "data at build time; declared inputs cannot be "
-                    "resolved inside a worker"
-                )
-            if rng is not None:
-                raise PlanError(
-                    f"node {name!r}: process tasks draw no engine rng; "
-                    "bake a spawned SeedSequence into the task instead"
-                )
-        self.task = task
         self.spill = bool(spill)
         if self.spill and not self.cacheable:
             raise PlanError(

@@ -1,15 +1,11 @@
-"""``shard_map``: per-shard map nodes + a declared coordinator combine.
+"""Shard maps: per-shard map nodes + a declared coordinator combine.
 
 The node template behind out-of-core plans: given a
 :class:`~repro.data.partition.PartitionedTable`, ``shard_map_nodes``
 builds one :class:`~repro.engine.Node` per shard, each of which
 
-* runs a **pure per-shard function** ``map_fn(shard, rng)``;
-* carries a **picklable process task** (the shard's source and any
-  per-shard seed closed over via :func:`functools.partial`), so an
-  :class:`~repro.engine.Executor` built with ``backend="process"``
-  dispatches the whole level as real map tasks over the
-  :mod:`repro.parallel` process backend — one task per shard;
+* runs a **pure per-shard function** ``map_fn(shard)`` on the shard it
+  materializes, on the executor's thread pool like every other node;
 * owns a **per-shard cache key** (its params fold the shard's content
   fingerprint), so editing one shard re-keys exactly that node — the
   incremental sharded re-audit;
@@ -17,10 +13,7 @@ builds one :class:`~repro.engine.Node` per shard, each of which
   committed to the store tagged ``shard:<fp>`` and a
   :class:`~repro.store.Spilled` reference travels the plan instead of
   the value, bounding coordinator memory by one shard plus the
-  combined partials;
-* optionally draws from a **per-shard spawned SeedSequence** (``seed=``
-  spawns one child per shard, baked into the task and folded into the
-  key).
+  combined partials.
 
 ``combine_node`` declares the merge step: it receives the partials as a
 :class:`ShardPartials` sequence that resolves spilled references one at
@@ -33,30 +26,12 @@ concatenated arrays; see :func:`repro.data.partition.merge_counts`).
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Sequence
 
-import numpy as np
-
 from repro.data.partition import PartitionedTable
-from repro.data.table import Table
-from repro.engine.node import Node, seed_identity
+from repro.engine.node import Node
 from repro.exceptions import PlanError
-from repro.parallel.rng import spawn_seeds
 from repro.store.store import resolve_spilled
-
-
-def _run_shard_task(map_fn, source, seed):
-    """Materialize one shard and apply the map function (worker body).
-
-    Module-level and argument-closed, so ``functools.partial`` of it
-    pickles into a process worker; the thread/serial execution path
-    calls the exact same function, keeping results byte-identical
-    across backends.
-    """
-    shard = source if isinstance(source, Table) else source()
-    rng = np.random.default_rng(seed) if seed is not None else None
-    return map_fn(shard, rng)
 
 
 class ShardPartials(Sequence):
@@ -86,44 +61,29 @@ def shard_map_nodes(name: str, data: PartitionedTable,
                     map_fn: Callable, *,
                     params: dict | Callable[[], dict] | None = None,
                     code: Callable | None = None,
-                    seed: np.random.Generator | None = None,
                     label: str | None = None) -> tuple[Node, ...]:
     """One map node per shard of ``data`` (names ``{name}.shard{i}``).
 
-    ``map_fn(shard, rng)`` must be pure and — for process dispatch —
-    picklable (a module-level function or :func:`functools.partial` of
-    one; the shard's source and seed are baked in here).  ``params``
-    joins every node's cache key alongside the shard fingerprint;
-    ``code`` defaults to ``map_fn`` so edits invalidate.  ``seed``
-    spawns one ``SeedSequence`` child per shard (advancing the
-    caller's spawn counter once), giving each map task its own
-    deterministic stream whose identity joins the key.  Every map node
-    spills (inert when the plan runs without a store).
+    ``map_fn(shard)`` must be pure.  ``params`` joins every node's
+    cache key alongside the shard fingerprint; ``code`` defaults to
+    ``map_fn`` so edits invalidate.  Every map node spills (inert when
+    the plan runs without a store).
     """
     if not isinstance(data, PartitionedTable):
         raise PlanError(
-            f"shard_map needs a PartitionedTable, got "
+            f"shard_map_nodes needs a PartitionedTable, got "
             f"{type(data).__name__}"
         )
-    children = (spawn_seeds(seed, data.n_shards)
-                if seed is not None else [None] * data.n_shards)
     nodes = []
     for index in range(data.n_shards):
-        child = children[index]
-        task = functools.partial(
-            _run_shard_task, map_fn, data.shard_source(index), child
-        )
+        def node_fn(inputs, rng, index=index):
+            return map_fn(data.shard(index))
 
-        def node_fn(inputs, rng, _task=task):
-            return _task()
-
-        def node_params(index=index, child=child) -> dict:
+        def node_params(index=index) -> dict:
             # Lazy all the way down: a callable ``params`` is only
             # evaluated when a store actually needs the key.
             resolved = dict(params()) if callable(params) else dict(params or {})
             resolved["shard"] = data.shard_fingerprint(index)
-            if child is not None:
-                resolved["seed"] = seed_identity(child)
             return resolved
 
         def node_tags(input_fps, index=index) -> tuple:
@@ -137,7 +97,6 @@ def shard_map_nodes(name: str, data: PartitionedTable,
             label=f"{prefix}.shard{index}",
             span_attrs={"shard": index, "n_shards": data.n_shards},
             tags=node_tags,
-            task=task,
             spill=True,
         ))
     return tuple(nodes)
@@ -182,31 +141,3 @@ def combine_node(name: str, over: Sequence[str] | Sequence[Node],
         tags=tags,
         annotate=annotate,
     )
-
-
-def shard_map(name: str, data: PartitionedTable, map_fn: Callable,
-              combine: Callable, *,
-              params: dict | None = None,
-              map_code: Callable | None = None,
-              combine_params: dict | Callable[[], dict] | None = None,
-              combine_code: Callable | None = None,
-              combine_rng: str | None = None,
-              seed: np.random.Generator | None = None,
-              inputs: Sequence[str] = (),
-              tags: tuple[str, ...] | Callable = ()) -> list[Node]:
-    """Map nodes plus their combine, ready to drop into a plan.
-
-    Returns ``[map_0, ..., map_{k-1}, combine]`` where the combine node
-    is named ``{name}.combine``.  The combine's value is the plan-level
-    result; the map values are per-shard partials (or spilled
-    references) that usually never leave the engine.
-    """
-    maps = shard_map_nodes(
-        name, data, map_fn, params=params, code=map_code, seed=seed,
-    )
-    tail = combine_node(
-        f"{name}.combine", maps, combine,
-        params=combine_params, code=combine_code, rng=combine_rng,
-        inputs=inputs, tags=tags,
-    )
-    return [*maps, tail]

@@ -43,6 +43,17 @@ class TickClock:
             self._tick += self._step
         return float(tick)
 
+    def advance(self, n: int) -> range:
+        """Hand out the next ``n`` ticks at once.
+
+        A pool task read its own tick clock from zero; on adoption its
+        tick ``i`` becomes the returned range's ``i``-th.
+        """
+        with self._lock:
+            first = self._tick
+            self._tick += n * self._step
+            return range(first, self._tick, self._step)
+
 
 class WallClock:
     """Real wall-clock time (seconds since the Unix epoch)."""

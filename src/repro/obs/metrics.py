@@ -10,11 +10,15 @@ Histograms are fixed-bucket: observations land in predeclared buckets,
 and quantiles (p50/p95/…) are read off the bucket upper bounds — O(1)
 memory no matter how many observations arrive.  ``min``/``max``/``sum``
 are tracked exactly.
+
+Metrics are safe for concurrent callers: every mutator and
+get-or-create takes the registry's lock (a standalone metric's own).
 """
 
 from __future__ import annotations
 
 import bisect
+import threading
 from typing import Iterable
 
 from repro.exceptions import DataError
@@ -41,12 +45,14 @@ class Counter:
         self.name = name
         self.labels = dict(labels or {})
         self.value = 0.0
+        self._lock = threading.RLock()
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be non-negative)."""
         if amount < 0:
             raise DataError("counters only go up; use a gauge")
-        self.value += float(amount)
+        with self._lock:
+            self.value += float(amount)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -71,6 +77,7 @@ class Gauge:
         self.labels = dict(labels or {})
         self._clock = clock
         self.samples: list[tuple[float, float]] = []
+        self._lock = threading.RLock()
 
     @property
     def value(self) -> float:
@@ -81,14 +88,16 @@ class Gauge:
 
     def set(self, value: float) -> None:
         """Record a new sample."""
-        t = self._clock.now() if self._clock is not None \
-            else float(len(self.samples))
-        self.samples.append((t, float(value)))
+        with self._lock:
+            t = self._clock.now() if self._clock is not None \
+                else float(len(self.samples))
+            self.samples.append((t, float(value)))
 
     def inc(self, amount: float = 1.0) -> None:
         """Shift the gauge by ``amount`` (0 baseline when never set)."""
-        current = self.samples[-1][1] if self.samples else 0.0
-        self.set(current + amount)
+        with self._lock:
+            current = self.samples[-1][1] if self.samples else 0.0
+            self.set(current + amount)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -159,16 +168,18 @@ class Histogram:
         self.sum = 0.0
         self.min: float | None = None
         self.max: float | None = None
+        self._lock = threading.RLock()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
         index = bisect.bisect_left(self.bounds, value)
-        self.counts[index] += 1
-        self.count += 1
-        self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        with self._lock:
+            self.counts[index] += 1
+            self.count += 1
+            self.sum += value
+            self.min = value if self.min is None else min(self.min, value)
+            self.max = value if self.max is None else max(self.max, value)
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (bucket upper bound)."""
@@ -236,15 +247,20 @@ class MetricsRegistry:
     def __init__(self, clock: Clock | None = None):
         self._clock = clock
         self._metrics: dict[tuple, object] = {}
+        self._lock = threading.RLock()
 
     def _get(self, kind: str, name: str, labels: dict[str, str],
              factory) -> object:
         key = (name, _labels_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = factory()
-            self._metrics[key] = metric
-        elif metric.kind != kind:
+            with self._lock:
+                metric = self._metrics.get(key)
+                if metric is None:
+                    metric = factory()
+                    metric._lock = self._lock  # one lock per registry
+                    self._metrics[key] = metric
+        if metric.kind != kind:
             raise DataError(
                 f"metric {name!r} already registered as {metric.kind}"
             )
@@ -281,10 +297,10 @@ class MetricsRegistry:
 
     def __iter__(self):
         """Metrics in (name, labels) order."""
+        with self._lock:
+            items = list(self._metrics.items())
         return iter(
-            metric for _, metric in sorted(
-                self._metrics.items(), key=lambda item: item[0]
-            )
+            metric for _, metric in sorted(items, key=lambda item: item[0])
         )
 
     def __len__(self) -> int:

@@ -20,7 +20,9 @@ calls), ``"process"`` (true CPU parallelism; requires picklable
 callables and tasks), and ``"serial"`` (the same code path inline —
 useful to A/B the engine itself out of a measurement).  Inline and
 pooled maps feed one collection loop and record the same counters, so
-a worker's error arrives the same way at every ``n_jobs``.
+a worker's error arrives the same way at every ``n_jobs``, and a
+thread chunk's spans are adopted in chunk order, so they do too (a
+process worker's spans stay in the worker).
 """
 
 from __future__ import annotations
@@ -144,6 +146,20 @@ def _pool_outcome(future: Future, chunk: tuple) -> list | _ChunkFailure:
         )
 
 
+def _scoped(pool: Executor, fn: Callable, chunks, tracer):
+    """Pooled chunk outcomes, each chunk's span scope adopted in order.
+
+    The trace is then what the same map records inline.
+    """
+    scopes = [tracer.scope() for _ in chunks]
+    futures = [pool.submit(scope.run, _run_chunk, fn, chunk_tasks)
+               for scope, (_, chunk_tasks) in zip(scopes, chunks)]
+    for scope, future, chunk in zip(scopes, futures, chunks):
+        outcome = _pool_outcome(future, chunk)
+        tracer.adopt(scope)
+        yield outcome
+
+
 class ParallelExecutor:
     """Deterministic chunked map over a worker pool.
 
@@ -219,11 +235,9 @@ class ParallelExecutor:
 
         The heterogeneous sibling of :meth:`map`: each task carries its
         own closure, which is how :class:`repro.engine.Executor`
-        computes the cache misses of one plan level.  The
-        thread/serial backends run closures directly; closures are
-        rarely picklable, so callers targeting ``"process"`` pass
-        picklable callables (the engine's shard-map node tasks) or
-        coerce to ``"thread"`` first.
+        computes the cache misses of one plan level on its threads.
+        Closures are rarely picklable, so callers coerce ``"process"``
+        to ``"thread"`` first.
         """
         return self.map(_invoke, list(thunks))
 
@@ -246,11 +260,14 @@ class ParallelExecutor:
 
     def _map_pool(self, fn, chunks, telemetry) -> list:
         with self._make_pool() as pool:
-            futures = [pool.submit(_run_chunk, fn, chunk_tasks)
-                       for _, chunk_tasks in chunks]
+            if telemetry is not None and self.backend == "thread":
+                outcomes = _scoped(pool, fn, chunks, telemetry.tracer)
+            else:
+                futures = [pool.submit(_run_chunk, fn, chunk_tasks)
+                           for _, chunk_tasks in chunks]
+                outcomes = map(_pool_outcome, futures, chunks)
             try:
-                return self._collect(map(_pool_outcome, futures, chunks),
-                                     chunks, telemetry)
+                return self._collect(outcomes, chunks, telemetry)
             finally:
                 # After a failure, chunks that have not started never run.
                 pool.shutdown(cancel_futures=True)

@@ -126,9 +126,6 @@ class Dispatcher:
         self._seed_entropy = int(config.seed)
         self._rng_lock = threading.Lock()
         self._release_ordinals: dict[str, int] = {}
-        # The metrics registry is not thread-safe: every telemetry
-        # write from the loop or a worker takes _obs_lock.
-        self._obs_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._status_counts: dict[str, int] = {}
         self._batch_stats = {
@@ -219,7 +216,8 @@ class Dispatcher:
         for request in requests:
             member = _Member(request=request, future=Future(),
                              start=time.perf_counter(),
-                             started=self._tick(telemetry),
+                             started=(None if telemetry is None
+                                      else telemetry.clock.now()),
                              telemetry=telemetry)
             futures.append(member.future)
             with self._cond:
@@ -546,12 +544,6 @@ class Dispatcher:
 
     # -- counters and telemetry ---------------------------------------------
 
-    def _tick(self, telemetry) -> float | None:
-        if telemetry is None:
-            return None
-        with self._obs_lock:
-            return telemetry.clock.now()
-
     def _note(self, **counts) -> None:
         """Bump batching/backpressure counters (``largest_batch`` is a max)."""
         with self._stats_lock:
@@ -574,25 +566,24 @@ class Dispatcher:
         kind = getattr(member.request, "kind", None)
         if kind is None and isinstance(member.request, dict):
             kind = member.request.get("kind")
-        with self._obs_lock:
-            end = telemetry.clock.now()
-            telemetry.tracer.record_span(
-                "serve.query", member.started, end,
-                tenant=result.tenant, kind=str(kind), status=result.status,
-                cached=result.cached, epsilon_charged=result.epsilon_charged,
-            )
-            telemetry.metrics.counter("serve.requests",
-                                      status=result.status).inc()
-            if self._cache is not None and result.ok:
-                name = "serve.cache.hits" if result.cached else "serve.cache.misses"
-                telemetry.metrics.counter(name).inc()
-            telemetry.metrics.histogram("serve.query.duration").observe(
-                result.duration
-            )
-            if result.tenant in self._budget:
-                telemetry.metrics.gauge(
-                    "serve.budget.epsilon_remaining", tenant=result.tenant
-                ).set(self._budget.remaining(result.tenant))
+        end = telemetry.clock.now()
+        telemetry.tracer.record_span(
+            "serve.query", member.started, end,
+            tenant=result.tenant, kind=str(kind), status=result.status,
+            cached=result.cached, epsilon_charged=result.epsilon_charged,
+        )
+        telemetry.metrics.counter("serve.requests",
+                                  status=result.status).inc()
+        if self._cache is not None and result.ok:
+            name = "serve.cache.hits" if result.cached else "serve.cache.misses"
+            telemetry.metrics.counter(name).inc()
+        telemetry.metrics.histogram("serve.query.duration").observe(
+            result.duration
+        )
+        if result.tenant in self._budget:
+            telemetry.metrics.gauge(
+                "serve.budget.epsilon_remaining", tenant=result.tenant
+            ).set(self._budget.remaining(result.tenant))
 
     def stats(self) -> dict[str, object]:
         """Statuses, latency percentiles, batching counters, outstanding."""

@@ -311,7 +311,7 @@ def test_engine_store_calls_run_on_the_coordinator(backend):
 
 
 def _refused(index):
-    """A picklable task whose value the store codec refuses."""
+    """A value the store codec refuses."""
     return complex(index, 1)
 
 
@@ -320,8 +320,7 @@ def _refused(index):
 def test_commit_failure_records_the_first_nodes_error_span(n_jobs, backend):
     telemetry = obs.configure()
     plan = Plan([
-        Node(f"n{index}", lambda inputs, rng, index=index: _refused(index),
-             task=functools.partial(_refused, index))
+        Node(f"n{index}", lambda inputs, rng, index=index: _refused(index))
         for index in range(2)
     ])
     with pytest.raises(DataError, match="cannot store"):
@@ -450,18 +449,29 @@ def test_audit_byte_identical_across_n_jobs_and_backends(audit_subject):
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_audit_telemetry_identical_across_reruns(audit_subject, backend):
-    # At n_jobs=2 the pillar sections run their resampling maps on two
-    # engine threads at once; which map drains first must not reach the
-    # TickClock export.
-    exports = []
-    for _ in range(3):
-        telemetry = obs.configure()
-        try:
-            _audit(audit_subject, n_jobs=2, backend=backend)
-            exports.append(telemetry.to_dicts())
-        finally:
-            obs.reset()
-    assert exports[0] == exports[1] == exports[2]
+    # At n_jobs=2 the shard maps, and then the pillar sections with their
+    # resampling maps, run on two engine threads at once; which finishes
+    # first must not reach the TickClock export.
+    model, calibration = audit_subject
+    evaluation = CreditScoringGenerator(
+        label_bias=0.3, proxy_strength=0.8,
+    ).generate(2000, np.random.default_rng(405))
+    for shards in (1, 4):
+        exports = []
+        for _ in range(8):
+            telemetry = obs.configure()
+            try:
+                FACTAuditor(n_bootstrap=40, n_jobs=2, backend=backend,
+                            store=ArtifactStore(), shards=shards).audit(
+                    model, evaluation, np.random.default_rng(11),
+                    calibration=calibration,
+                )
+                exports.append(telemetry.to_dicts())
+            finally:
+                obs.reset()
+        assert all(export == exports[0] for export in exports), (
+            f"shards={shards}"
+        )
 
 
 def test_audit_sections_isolated_from_each_other(audit_subject):

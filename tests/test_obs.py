@@ -1,6 +1,8 @@
 """Tests for the telemetry layer (repro.obs) and its instrumentation."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -110,6 +112,29 @@ def test_counter_and_labels():
         registry.counter("alarms", kind="drift").inc(-1)
     with pytest.raises(DataError):
         registry.gauge("alarms", kind="drift")  # kind clash
+
+
+def test_concurrent_increments_are_never_lost():
+    registry = obs.MetricsRegistry()
+    n = 20_000
+
+    def bump():
+        for _ in range(n):
+            registry.counter("store.hits", store="s").inc()
+
+    # Switch threads often, so an unguarded read-modify-write loses
+    # increments in every run rather than in some.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=bump) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert registry.counter("store.hits", store="s").value == 2 * n
 
 
 def test_gauge_samples():

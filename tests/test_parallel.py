@@ -61,6 +61,31 @@ def _make_logreg(l2):
     return LogisticRegression(l2=l2)
 
 
+def _traced_task(task):
+    """Open a span and a nested one; odd tasks also run a traced map.
+
+    With ``gates``, task ``2k`` finishes only after task ``2k + 1`` has,
+    so on two threads the tasks finish out of task order.
+    """
+    index, n_jobs, gates = task
+    tracer = obs.get().tracer
+    with tracer.span("task", index=index):
+        with tracer.span("inner", index=index):
+            if index % 2:
+                pmap(_traced_leaf, [index, -index], n_jobs=n_jobs,
+                     chunk_size=1, name="leaf")
+            elif gates is not None:
+                assert gates[index + 1].wait(timeout=30)
+    if gates is not None:
+        gates[index].set()
+    return index
+
+
+def _traced_leaf(value):
+    with obs.get().tracer.span("leaf", value=value):
+        return value
+
+
 @pytest.fixture
 def fitted_model(rng):
     X = rng.standard_normal((150, 12))
@@ -156,6 +181,27 @@ def test_concurrent_maps_leave_the_same_export_whichever_finishes_first():
     assert exports[0] == exports[1]
     names = {record["name"] for record in exports[0]}
     assert {"first.tasks", "second.tasks"} <= names
+
+
+def test_thread_map_exports_what_the_inline_map_exports():
+    # The tasks finish in the order 1, 0, 3, 2, 5, 4, and each scope's
+    # ticks and ids must land where the inline run puts them.
+    exports = []
+    for n_jobs in (1, 2):
+        gates = ([threading.Event() for _ in range(6)] if n_jobs > 1
+                 else None)
+        telemetry = obs.configure()
+        try:
+            executor = ParallelExecutor(n_jobs=n_jobs, backend="thread",
+                                        chunk_size=1, name="outer")
+            tasks = [(index, n_jobs, gates) for index in range(6)]
+            assert executor.map(_traced_task, tasks) == list(range(6))
+            exports.append(telemetry.to_dicts())
+        finally:
+            obs.reset()
+    assert exports[1] == exports[0]
+    spans = [record for record in exports[0] if record["record"] == "span"]
+    assert len(spans) == 6 * 2 + 3 * 2
 
 
 # -- worker crashes ---------------------------------------------------------

@@ -2,10 +2,10 @@
 
 The contract under test is ISSUE 10's tentpole: ``partition``/``concat``
 round-trip byte-identically, per-shard fingerprints compose into one
-dataset identity, the shard-map engine template fans out as process
-tasks with per-shard cache keys and spilled partials, and the sharded
-FACT audit is **byte-identical** to the serial unsharded path at every
-shard count, worker count, backend, and store setting.
+dataset identity, the shard-map engine template fans out on the
+engine's threads with per-shard cache keys and spilled partials, and
+the sharded FACT audit is **byte-identical** to the serial unsharded
+path at every shard count, worker count, backend, and store setting.
 """
 
 import numpy as np
@@ -22,7 +22,13 @@ from repro.data import (
 from repro.data.schema import Schema, categorical, numeric
 from repro.data.synth import CensusIncomeGenerator
 from repro.data.table import Table
-from repro.engine import Executor, Node, Plan, shard_map
+from repro.engine import (
+    Executor,
+    Node,
+    Plan,
+    combine_node,
+    shard_map_nodes,
+)
 from repro.exceptions import DataError, PlanError, SchemaError
 from repro.learn.linear import LogisticRegression
 from repro.learn.table_model import TableClassifier
@@ -170,7 +176,7 @@ class TestMergeableSummaries:
 # -- shard-aware engine nodes -------------------------------------------------
 
 
-def _count_rows(shard, rng):
+def _count_rows(shard):
     return {"n": shard.n_rows}
 
 
@@ -178,19 +184,21 @@ def _sum_rows(partials, extras, rng):
     return sum(p["n"] for p in partials)
 
 
+def _rows_plan(parts):
+    """Count rows per shard, then sum them in ``rows.combine``."""
+    maps = shard_map_nodes("rows", parts, _count_rows)
+    return Plan([*maps, combine_node("rows.combine", maps, _sum_rows)])
+
+
 class TestShardMap:
-    def test_task_nodes_reject_inputs_and_rng(self):
-        with pytest.raises(PlanError):
-            Node("bad", lambda i, r: 0, inputs=("x",), task=lambda: 0)
-        with pytest.raises(PlanError):
-            Node("bad", lambda i, r: 0, rng="spawn", task=lambda: 0)
+    def test_spill_requires_a_cacheable_node(self):
         with pytest.raises(PlanError):
             Node("bad", lambda i, r: 0, cacheable=False, spill=True)
 
     def test_spill_and_warm_replay(self, census):
         parts = partition(census, n_shards=3)
         store = ArtifactStore(MemoryBackend(), name="spill")
-        plan = Plan(shard_map("rows", parts, _count_rows, _sum_rows))
+        plan = _rows_plan(parts)
         cold = Executor(n_jobs=1, name="t").run(plan, store=store)
         assert cold["rows.combine"] == census.n_rows
         assert isinstance(cold["rows.shard0"], Spilled)
@@ -205,16 +213,14 @@ class TestShardMap:
 
     def test_storeless_runs_pass_raw_partials(self, census):
         parts = partition(census, n_shards=3)
-        result = Executor(n_jobs=1, name="t").run(
-            Plan(shard_map("rows", parts, _count_rows, _sum_rows))
-        )
+        result = Executor(n_jobs=1, name="t").run(_rows_plan(parts))
         assert result["rows.combine"] == census.n_rows
         assert isinstance(result["rows.shard1"], dict)
 
-    def test_process_backend_dispatches_map_tasks(self, census):
+    def test_process_backend_runs_map_nodes_on_threads(self, census):
         parts = partition(census, n_shards=4)
         store = ArtifactStore(MemoryBackend(), name="proc")
-        plan = Plan(shard_map("rows", parts, _count_rows, _sum_rows))
+        plan = _rows_plan(parts)
         result = Executor(n_jobs=2, backend="process", name="t").run(
             plan, store=store
         )
