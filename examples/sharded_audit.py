@@ -4,7 +4,7 @@ When the test set is too large for one worker (the paper's setting is
 institutional: census extracts, lending books, event logs), the table
 becomes a ``PartitionedTable`` — ordered row-range shards behind lazy,
 pure loader callables, so *no single Table ever exists in memory*.
-``FACTAuditor`` turns the audit into one map task per shard (labels,
+``FACTAuditor`` turns the audit into one map node per shard (labels,
 probabilities, decisions, encoded features, quasi-identifier class
 counts are all row-wise pure) plus exact combines in shard order, and
 with a store attached each partial spills to disk tagged by its
@@ -55,7 +55,7 @@ def main():
     model = TableClassifier(LogisticRegression()).fit(train)
 
     # The test set never exists as one table: each shard is a callable
-    # the engine materialises on demand, one map task at a time.
+    # the engine materialises on demand, one map node at a time.
     sources = [
         functools.partial(load_shard, 1_000 + index, rows_per_shard)
         for index in range(n_shards)

@@ -21,9 +21,9 @@ re-implemented at every call site:
   node gets a span named ``{executor.name}:{node.label}`` carrying the
   cache outcome (``hit``/``miss``/``uncacheable``) and its logical wait
   behind the level barrier.  Spans are recorded on the coordinator in
-  plan order after each level drains, so TickClock telemetry stays
-  byte-identical across reruns (completion order never reaches the
-  clock; :class:`ParallelExecutor` records counters only).
+  plan order after each level drains, and :class:`ParallelExecutor`
+  adopts its thread tasks' spans in task order, so TickClock telemetry
+  stays byte-identical across reruns.
 """
 
 from __future__ import annotations
