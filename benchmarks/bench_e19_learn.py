@@ -21,6 +21,10 @@ implementations carried along as executable baselines:
   (the midrank loop re-run on every resample), and vs the per-resample
   path alone (``roc_auc`` wrapped without its ``resampler``).  The
   intervals must be identical.
+* **Fairness audit** — ``audit_decisions`` from one grouping pass over a
+  census-style object group column vs the historical audit, where each
+  of nine metric functions sorted the column again and masked it once
+  per group.  The report fingerprints must be equal.
 
 The printed table is the record; ``BENCH_learn.json`` at the repository
 root is frozen history from before ``python -m repro bench`` became the
@@ -45,8 +49,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
 from benchmarks._tools import SEED, emit, format_table  # noqa: E402
 from repro.accuracy.bootstrap import bootstrap_paired_ci  # noqa: E402
-from repro.exceptions import DataError  # noqa: E402
-from repro.learn.metrics import roc_auc  # noqa: E402
+from repro.exceptions import DataError, FairnessError  # noqa: E402
+from repro.fairness.report import FairnessReport, audit_decisions  # noqa: E402
+from repro.learn.calibration import expected_calibration_error  # noqa: E402
+from repro.learn.metrics import confusion_matrix, roc_auc  # noqa: E402
 from repro.learn.mlp import MLPClassifier  # noqa: E402
 from repro.learn.neighbors import (  # noqa: E402
     nearest_indices,
@@ -58,9 +64,11 @@ from repro.learn.tree import DecisionTreeClassifier  # noqa: E402
 #: smoke floors under ``--check`` are deliberately loose — CI runners are
 #: noisy.
 FULL_FLOORS = {"tree_fit": 3.0, "knn": 5.0, "mlp_epoch": 1.5,
-               "roc_auc": 4.0, "auc_bootstrap": 10.0, "auc_counting": 2.0}
+               "roc_auc": 4.0, "auc_bootstrap": 10.0, "auc_counting": 2.0,
+               "fairness_audit": 4.0}
 SMOKE_FLOORS = {"tree_fit": 2.0, "knn": 1.5, "mlp_epoch": 1.1,
-                "roc_auc": 3.0, "auc_bootstrap": 5.0, "auc_counting": 1.5}
+                "roc_auc": 3.0, "auc_bootstrap": 5.0, "auc_counting": 1.5,
+                "fairness_audit": 3.0}
 
 
 def _timed(fn, repeats: int):
@@ -251,6 +259,110 @@ def naive_roc_auc(y_true, scores):
     )
 
 
+def _naive_fairness_inputs(y_pred, group, y_true=None):
+    y_pred = np.asarray(y_pred, dtype=np.float64)
+    group = np.asarray(group)
+    if y_pred.shape != group.shape or y_pred.ndim != 1:
+        raise FairnessError(
+            f"predictions {y_pred.shape} and groups {group.shape} must be aligned 1-D arrays"
+        )
+    if len(y_pred) == 0:
+        raise FairnessError("fairness metrics need at least one example")
+    if y_true is not None:
+        y_true = np.asarray(y_true, dtype=np.float64)
+        if y_true.shape != y_pred.shape:
+            raise FairnessError("y_true and y_pred must be aligned")
+    groups = np.unique(group)
+    if len(groups) < 2:
+        raise FairnessError(
+            f"need at least two groups, found {groups.tolist()}"
+        )
+    return y_pred, group, y_true, groups
+
+
+def _naive_group_rates(y_true, y_pred, group):
+    y_pred, group, y_true, groups = _naive_fairness_inputs(
+        y_pred, group, y_true)
+    confusions = {}
+    for value in groups:
+        mask = group == value
+        confusions[value] = confusion_matrix(y_true[mask], y_pred[mask])
+    return confusions
+
+
+def _naive_difference(confusions, attribute):
+    values = [getattr(cm, attribute) for cm in confusions.values()]
+    return float(max(values) - min(values))
+
+
+def _naive_group_means(values, group):
+    values, group, _, groups = _naive_fairness_inputs(values, group)
+    return {
+        value: float(np.mean(values[group == value])) for value in groups
+    }
+
+
+def _naive_disparate_impact(y_pred, group):
+    rates = list(_naive_group_means(y_pred, group).values())
+    top = max(rates)
+    if top == 0.0:
+        return 1.0
+    return float(min(rates) / top)
+
+
+def _naive_calibration_gaps(y_true, probabilities, group, n_bins=10):
+    probabilities = np.asarray(probabilities, dtype=np.float64)
+    _, group, y_true, groups = _naive_fairness_inputs(
+        probabilities, group, y_true)
+    return {
+        value: expected_calibration_error(
+            y_true[group == value], probabilities[group == value], n_bins
+        )
+        for value in groups
+    }
+
+
+def naive_audit_decisions(y_true, y_pred, group, sensitive="group",
+                          probabilities=None):
+    """The historical fairness audit: ten sorts of the group column.
+
+    Each of nine metric calls sorts the column again and masks it once
+    per group.
+    """
+    y_true = np.asarray(y_true, dtype=np.float64)
+    y_pred = np.asarray(y_pred, dtype=np.float64)
+    group = np.asarray(group)
+    groups = tuple(np.unique(group).tolist())
+    calibration = {}
+    if probabilities is not None:
+        try:
+            calibration = _naive_calibration_gaps(y_true, probabilities,
+                                                  group)
+        except FairnessError:
+            calibration = {}
+    selection = _naive_group_means(y_pred, group)
+    spd_rates = list(_naive_group_means(y_pred, group).values())
+    odds = _naive_group_rates(y_true, y_pred, group)
+    return FairnessReport(
+        sensitive=sensitive,
+        groups=groups,
+        selection_rates=selection,
+        base_rates=_naive_group_means(y_true, group),
+        statistical_parity_difference=float(max(spd_rates) - min(spd_rates)),
+        disparate_impact_ratio=_naive_disparate_impact(y_pred, group),
+        equal_opportunity_difference=_naive_difference(
+            _naive_group_rates(y_true, y_pred, group), "recall"),
+        equalized_odds_difference=float(max(
+            _naive_difference(odds, "recall"),
+            _naive_difference(odds, "false_positive_rate"))),
+        predictive_parity_difference=_naive_difference(
+            _naive_group_rates(y_true, y_pred, group), "precision"),
+        accuracy_difference=_naive_difference(
+            _naive_group_rates(y_true, y_pred, group), "accuracy"),
+        calibration_gaps=calibration,
+    )
+
+
 def per_resample_auc(y_true, scores):
     """``roc_auc`` without its ``resampler``: one full AUC per resample."""
     return roc_auc(y_true, scores)
@@ -269,10 +381,12 @@ def main(argv=None) -> int:
         epochs = 3
         auc_rows, auc_resamples = 1200, 50
         knn_pool_rows = None            # search the training set
+        audit_rows = 5_000
     else:
         n_train, n_query, k = 6000, 800, 10
         epochs = 8
         auc_rows, auc_resamples = 5000, 100
+        audit_rows = 40_000
         # Dedicated situation-testing-sized pool: at full size the k-NN
         # claim is about searching a large population, where the full
         # argsort baseline degrades fastest.
@@ -289,6 +403,16 @@ def main(argv=None) -> int:
     auc_labels = (rng.random(auc_rows) < 0.4).astype(float)
     auc_scores = 1.0 / (1.0 + np.exp(-(auc_labels
                                        + rng.standard_normal(auc_rows))))
+    # A census-style audit: an object column of two strings, as a
+    # table's sensitive column arrives at the fairness combine.
+    audit_group = np.empty(audit_rows, dtype=object)
+    audit_group[:] = rng.choice(["Female", "Male"], audit_rows,
+                                p=[0.33, 0.67]).tolist()
+    audit_labels = (rng.random(audit_rows)
+                    < np.where(audit_group == "Male", 0.3, 0.2)).astype(float)
+    audit_scores = 1.0 / (1.0 + np.exp(-(1.5 * audit_labels - 1.0
+                                         + rng.standard_normal(audit_rows))))
+    audit_decided = (audit_scores >= 0.5).astype(float)
 
     failures = []
     speedups = {}
@@ -382,6 +506,20 @@ def main(argv=None) -> int:
     speedups["auc_counting"] = (per_resample_ci_s / fast_ci_s
                                 if fast_ci_s else 0.0)
 
+    # -- fairness audit: one grouping pass vs a sort per metric -----------
+    def audit(fn):
+        return fn(audit_labels, audit_decided, audit_group, sensitive="sex",
+                  probabilities=audit_scores)
+
+    fast_report, fast_audit_s = _timed(lambda: audit(audit_decisions), 5)
+    naive_report, naive_audit_s = _timed(
+        lambda: audit(naive_audit_decisions), max(1, repeats - 1)
+    )
+    if fast_report.fingerprint() != naive_report.fingerprint():
+        failures.append("FAIRNESS MISMATCH: report fingerprints differ")
+    speedups["fairness_audit"] = (naive_audit_s / fast_audit_s
+                                  if fast_audit_s else 0.0)
+
     floors = {}
     if not args.smoke:
         floors = FULL_FLOORS
@@ -420,6 +558,10 @@ def main(argv=None) -> int:
             ["  vs per-resample roc_auc", fast_ci_s, per_resample_ci_s,
              speedups["auc_counting"],
              "NO" if any(f.startswith("BOOTSTRAP") for f in failures)
+             else "yes"],
+            [f"fairness audit ({audit_rows} rows)", fast_audit_s,
+             naive_audit_s, speedups["fairness_audit"],
+             "NO" if any(f.startswith("FAIRNESS") for f in failures)
              else "yes"],
         ],
     )

@@ -37,6 +37,7 @@ from repro.data.table import Table
 from repro.engine import Executor, Plan, value_fingerprint
 from repro.engine.sharding import combine_node, shard_map_nodes
 from repro.exceptions import DataError, FairnessError
+from repro.fairness.metrics import _group_rows
 from repro.fairness.report import audit_decisions
 from repro.learn.calibration import expected_calibration_error
 from repro.learn.metrics import accuracy as accuracy_metric
@@ -451,11 +452,14 @@ class FACTAuditor:
             # The E4b check: does the (marginal) guarantee hold within
             # each protected group, or only on average?
             if sensitive_names:
-                values = arrays["sensitive"][sensitive_names[0]]
+                groups = _group_rows(
+                    arrays["sensitive"][sensitive_names[0]],
+                    f"sensitive attribute {sensitive_names[0]!r}",
+                )
                 by_group = {
-                    value: float(covered[values == value].mean())
-                    for value in np.unique(values)
-                    if (values == value).sum() >= 10
+                    value: float(part.mean())
+                    for value, part in zip(groups.keys, groups.split(covered))
+                    if len(part) >= 10
                 }
         return AccuracySection(
             accuracy=acc_ci,

@@ -89,28 +89,38 @@ class FairnessReport(Artifact):
 
 def audit_decisions(y_true, y_pred, group, sensitive: str = "group",
                     probabilities=None) -> FairnessReport:
-    """Audit pre-computed decisions (optionally with scores for calibration)."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    group = np.asarray(group)
-    groups = tuple(np.unique(group).tolist())
+    """Audit pre-computed decisions (optionally with scores for calibration).
+
+    Every metric comes from one grouping pass over ``group``.  A missing
+    group value or a ``probabilities`` array that does not align with
+    the groups raises :class:`FairnessError`.
+    """
+    y_pred, y_true, groups = fm._check_inputs(
+        y_pred, group, np.asarray(y_true, dtype=np.float64),
+        what=f"sensitive attribute {sensitive!r}",
+    )
     calibration = {}
     if probabilities is not None:
-        try:
-            calibration = fm.group_calibration_gaps(y_true, probabilities, group)
-        except FairnessError:
-            calibration = {}
+        probabilities = np.asarray(probabilities, dtype=np.float64)
+        if probabilities.shape != y_pred.shape:
+            raise FairnessError(
+                f"probabilities {probabilities.shape} and groups "
+                f"{y_pred.shape} must be aligned 1-D arrays"
+            )
+        calibration = groups.calibration_gaps(y_true, probabilities)
+    selection = groups.means(y_pred)
+    rates = groups.rates(y_true, y_pred)
     return FairnessReport(
         sensitive=sensitive,
-        groups=groups,
-        selection_rates=fm.selection_rates(y_pred, group),
-        base_rates=fm.base_rates(y_true, group),
-        statistical_parity_difference=fm.statistical_parity_difference(y_pred, group),
-        disparate_impact_ratio=fm.disparate_impact_ratio(y_pred, group),
-        equal_opportunity_difference=fm.equal_opportunity_difference(y_true, y_pred, group),
-        equalized_odds_difference=fm.equalized_odds_difference(y_true, y_pred, group),
-        predictive_parity_difference=fm.predictive_parity_difference(y_true, y_pred, group),
-        accuracy_difference=fm.accuracy_difference(y_true, y_pred, group),
+        groups=rates.groups,
+        selection_rates=selection,
+        base_rates=groups.means(y_true),
+        statistical_parity_difference=fm._spread(selection.values()),
+        disparate_impact_ratio=fm._ratio(selection.values()),
+        equal_opportunity_difference=rates.difference("recall"),
+        equalized_odds_difference=fm._odds_gap(rates),
+        predictive_parity_difference=rates.difference("precision"),
+        accuracy_difference=rates.difference("accuracy"),
         calibration_gaps=calibration,
     )
 

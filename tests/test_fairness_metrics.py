@@ -93,6 +93,45 @@ def test_misaligned_inputs_rejected():
         fm.selection_rates(np.array([1.0, 0.0]), GROUP)
 
 
+MISSING_GROUPS = {
+    "float_nan": np.array([0.0, 1.0, np.nan, 0.0, 1.0, np.nan, 0.0, 1.0]),
+    "none_among_strings": np.array(
+        ["A", "B", None, "A", "B", None, "A", "B"], dtype=object),
+    "object_nan": np.array(
+        [0.0, 1.0, float("nan"), 0.0, 1.0, float("nan"), 0.0, 1.0],
+        dtype=object),
+}
+METRICS_OF_PREDICTIONS = [
+    fm.selection_rates, fm.statistical_parity_difference,
+    fm.disparate_impact_ratio, fm.passes_four_fifths_rule,
+    lambda y_pred, group: fm.base_rates(Y_TRUE, group),
+]
+METRICS_OF_LABELS = [
+    fm.group_rates, fm.equal_opportunity_difference,
+    fm.equalized_odds_difference, fm.predictive_parity_difference,
+    fm.accuracy_difference,
+    lambda y_true, y_pred, group: fm.group_calibration_gaps(
+        y_true, np.full(8, 0.5), group),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(MISSING_GROUPS))
+def test_missing_group_values_rejected(kind):
+    # A row without a group belongs to none: no metric may drop it.
+    group = MISSING_GROUPS[kind]
+    for metric in METRICS_OF_PREDICTIONS:
+        with pytest.raises(FairnessError, match="has 2 missing values"):
+            metric(Y_PRED, group)
+    for metric in METRICS_OF_LABELS:
+        with pytest.raises(FairnessError, match="has 2 missing values"):
+            metric(Y_TRUE, Y_PRED, group)
+
+
+def test_unsortable_groups_without_missing_values_still_raise_type_error():
+    with pytest.raises(TypeError):
+        fm.selection_rates(Y_PRED, np.array(["A", 1] * 4, dtype=object))
+
+
 def test_group_calibration_gaps(rng):
     n = 4000
     group = np.where(rng.random(n) < 0.5, "A", "B").astype(object)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import FairnessError
 from repro.fairness.report import audit_decisions, audit_model
 from repro.learn import LogisticRegression, TableClassifier
 
@@ -59,3 +60,22 @@ def test_audit_model_custom_threshold(credit_tables):
     lax = audit_model(model, test, threshold=0.1)
     assert (sum(strict.selection_rates.values())
             < sum(lax.selection_rates.values()))
+
+
+def test_misaligned_probabilities_raise():
+    group = GROUP[:6]
+    with pytest.raises(FairnessError,
+                       match=r"probabilities \(3,\) and groups \(6,\)"):
+        audit_decisions(Y_TRUE[:6], Y_PRED[:6], group,
+                        probabilities=np.array([0.2, 0.7, 0.9]))
+
+
+@pytest.mark.parametrize("group", [
+    np.array([0.0, 1.0, np.nan, 0.0, 1.0, np.nan, 0.0, 1.0]),
+    np.array(["A", "B", None, "A", "B", None, "A", "B"], dtype=object),
+], ids=["float_nan", "none_among_strings"])
+def test_missing_group_values_name_the_attribute(group):
+    with pytest.raises(FairnessError,
+                       match="sensitive attribute 'sex' has 2 missing values"):
+        audit_decisions(Y_TRUE, Y_PRED, group, sensitive="sex",
+                        probabilities=np.full(8, 0.5))
