@@ -16,13 +16,23 @@ serial one's by construction.  This bench measures three promises:
   reproduce the serial report's fingerprint exactly.  Enforced
   unconditionally, on any machine.
 * **Bounded coordinator RSS** — two fresh subprocesses audit the same
-  lazily-loaded shards: one materialises the whole table and runs
-  serial, one audits the ``PartitionedTable`` out-of-core (on-disk
-  spill store, partials tagged ``shard:<fp>``).  Their reports must
-  match bit for bit, and in full runs the sharded coordinator's peak
-  RSS must stay within ``MAX_RSS_RATIO`` of the serial process that
-  held everything (smoke datasets are too small for RSS to clear
-  interpreter noise, so smoke reports the ratio without enforcing).
+  lazily-loaded shards with the same auditor (``n_jobs=2`` on the
+  process backend, whatever ``$REPRO_N_JOBS`` says), so only the data
+  and the store differ: one materialises the whole table and audits it
+  without a store, one audits the ``PartitionedTable`` out-of-core
+  (on-disk spill store, partial fields tagged ``shard:<fp>``).  Their
+  reports must match bit for bit, and in full runs the sharded
+  coordinator's peak RSS must stay within ``MAX_RSS_RATIO`` of the
+  process that held everything (smoke datasets are too small for RSS
+  to clear interpreter noise, so smoke reports the ratio without
+  enforcing).
+
+It also re-audits incrementally on disk: a 4-shard audit against an
+on-disk store, then rows appended to one shard and a re-audit against
+the same store, in which the three unchanged shards' map nodes must hit
+(a presence check of every field entry) and the report must equal a
+storeless audit of the edited table.  The bytes each audit read and
+wrote are printed.
 
 Run directly (``python benchmarks/bench_e21_sharded_audit.py``); pass
 ``--smoke`` for the quick CI-sized variant exercised on every push.
@@ -54,6 +64,7 @@ from repro import obs  # noqa: E402
 from repro.core.auditor import FACTAuditor  # noqa: E402
 from repro.data.partition import PartitionedTable  # noqa: E402
 from repro.data.synth import CreditScoringGenerator  # noqa: E402
+from repro.data.table import Table  # noqa: E402
 from repro.learn.linear import LogisticRegression  # noqa: E402
 from repro.learn.table_model import TableClassifier  # noqa: E402
 from repro.store import ArtifactStore  # noqa: E402
@@ -107,34 +118,83 @@ def _timed(fn, repeats: int):
 def _rss_probe(mode: str, smoke: bool) -> int:
     """Worker body for ``--rss-probe``: one audit, then a JSON line.
 
-    Both modes audit the *same* lazily-loaded shards; ``serial``
-    materialises them into one table first (the whole dataset plus the
-    audit's working set lives in this process), ``sharded`` audits the
-    ``PartitionedTable`` with an on-disk spill store (the coordinator
-    holds roughly one shard plus the combined partials).
+    Both modes audit the *same* lazily-loaded shards with the same
+    auditor (two workers, process backend); ``serial`` materialises
+    them into one table first and runs without a store (the whole
+    dataset plus the audit's working set lives in this process),
+    ``sharded`` audits the ``PartitionedTable`` with an on-disk spill
+    store (the coordinator holds roughly one shard plus the combined
+    partials).
     """
     n_train, rows_per_shard, n_bootstrap = _sizes(smoke)
     model = _fit_model(n_train)
     schema = _load_shard(SEED + 100, 64).schema
     parts = _lazy_parts(schema, rows_per_shard)
-    start = time.perf_counter()
-    if mode == "serial":
-        auditor = FACTAuditor(n_bootstrap=n_bootstrap)
-        report = auditor.audit(model, parts.concat(),
-                               np.random.default_rng(SEED + 1))
-    else:
-        store = ArtifactStore.on_disk(tempfile.mkdtemp(prefix="e21-spill-"))
+    with tempfile.TemporaryDirectory(prefix="e21-spill-") as path:
+        store = ArtifactStore.on_disk(path) if mode == "sharded" else None
         auditor = FACTAuditor(n_bootstrap=n_bootstrap, n_jobs=2,
                               backend="process", store=store)
-        report = auditor.audit(model, parts,
-                               np.random.default_rng(SEED + 1))
-    wall = time.perf_counter() - start
+        start = time.perf_counter()
+        report = auditor.audit(
+            model, parts.concat() if mode == "serial" else parts,
+            np.random.default_rng(SEED + 1),
+        )
+        wall = time.perf_counter() - start
     # Linux ru_maxrss is KiB; RUSAGE_SELF is the coordinator, whose
     # engine threads run the map nodes, one shard each.
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({"mode": mode, "rss_kb": rss_kb, "wall_s": wall,
                       "fingerprint": report.fingerprint()}))
     return 0
+
+
+def _incremental_on_disk(model, test, n_bootstrap, telemetry,
+                         failures) -> list:
+    """A cold 4-shard audit, then an append re-audit, on one disk store.
+
+    The re-audit's three unchanged map nodes must hit their on-disk
+    field entries and its report must equal a storeless audit of the
+    edited table; a failure joins ``failures``.  Returns table rows.
+    """
+    parts = PartitionedTable.partition(test, n_shards=4)
+    generator = CreditScoringGenerator(label_bias=0.3, proxy_strength=0.8)
+    appended = generator.generate(max(10, test.n_rows // 40),
+                                  np.random.default_rng(SEED + 60))
+    edited = parts.replaced(3, Table.concat([parts.shard(3), appended]))
+    expected = FACTAuditor(n_bootstrap=n_bootstrap).audit(
+        model, edited.concat(), np.random.default_rng(SEED + 1)
+    ).fingerprint()
+    rows = []
+    with tempfile.TemporaryDirectory(prefix="e21-warm-") as path:
+        store = ArtifactStore.on_disk(path)
+        auditor = FACTAuditor(n_bootstrap=n_bootstrap, n_jobs=2,
+                              backend="process", store=store)
+        for label, data in (("cold", parts), ("append + re-audit", edited)):
+            before = store.stats()
+            report, wall = _timed(
+                lambda: auditor.audit(model, data,
+                                      np.random.default_rng(SEED + 1)), 1
+            )
+            after = store.stats()
+            statuses = [span.attributes["cache"]
+                        for span in telemetry.tracer.spans
+                        if span.name.startswith("audit:partial.")][-4:]
+            rows.append([label, wall,
+                         after["bytes_read"] - before["bytes_read"],
+                         after["bytes_written"] - before["bytes_written"],
+                         "/".join(statuses)])
+    if statuses != ["hit", "hit", "hit", "miss"]:
+        failures.append(
+            f"WARM PATH NOT TAKEN: the append re-audit's map nodes were "
+            f"{statuses}, expected three on-disk hits and one miss"
+        )
+    if report.fingerprint() != expected:
+        failures.append(
+            "BYTE-IDENTITY VIOLATION: the append re-audit against the "
+            "on-disk store differs from a storeless audit of the edited "
+            "table"
+        )
+    return rows
 
 
 def _run_probe(mode: str, smoke: bool) -> dict:
@@ -211,6 +271,9 @@ def main(argv=None) -> int:
                 f"(floor {MIN_SHARDED_SPEEDUP}x)"
             )
 
+        warm_rows = _incremental_on_disk(model, test, n_bootstrap,
+                                         telemetry, failures)
+
         probes = {mode: _run_probe(mode, args.smoke)
                   for mode in ("serial", "sharded")}
         if probes["serial"]["fingerprint"] != probes["sharded"]["fingerprint"]:
@@ -250,7 +313,14 @@ def main(argv=None) -> int:
         ["probe", "rss_kb", "wall_s", "ratio"],
         rss_rows,
     )
+    warm_table = format_table(
+        "E21 incremental re-audit against an on-disk store (4 shards, "
+        "rows appended to the last)",
+        ["audit", "wall_s", "bytes_read", "bytes_written", "map_nodes"],
+        warm_rows,
+    )
     emit(table)
+    emit(warm_table)
     emit(rss_table)
     for failure in failures:
         print(failure, file=sys.stderr)

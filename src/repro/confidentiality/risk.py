@@ -8,6 +8,8 @@ scores in its confidentiality section.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -63,29 +65,26 @@ def qi_class_counts(table: Table,
     the sharded FACT audit's confidentiality path.  Grouping matches
     :func:`~repro.confidentiality.anonymity.equivalence_classes` (the
     key strings round-trip float ``repr``; ``-0.0`` is normalised to
-    ``0.0`` to match ``==`` semantics), but runs vectorised.
+    ``0.0`` to match ``==`` semantics), with one Python string per row
+    and a ``Counter``; keys come back in sorted order.
     """
     names = _quasi_identifiers(table, quasi_identifiers)
     n_rows = table.n_rows
     if not n_rows:
         return {}, 0
     nan_mask = np.zeros(n_rows, dtype=bool)
-    keys: np.ndarray | None = None
+    pieces = []
     for name in names:
         values = table.column(name)
         if values.dtype.kind == "f":
             nan_mask |= np.isnan(values)
-            strings = (values + 0.0).astype("U32")
-        else:
-            strings = values.astype(str)
-        lengths = np.char.str_len(strings).astype("U20")
-        piece = np.char.add(np.char.add(lengths, "#"), strings)
-        keys = piece if keys is None else np.char.add(
-            np.char.add(keys, "\x1f"), piece
-        )
-    uniques, counts = np.unique(keys[~nan_mask], return_counts=True)
+            values = values + 0.0
+        pieces.append([f"{len(text)}#{text}"
+                       for text in map(str, values.tolist())])
+    keys = map("\x1f".join, zip(*pieces))
+    counts = Counter(itertools.compress(keys, (~nan_mask).tolist()))
     return (
-        {str(key): int(count) for key, count in zip(uniques, counts)},
+        {key: counts[key] for key in sorted(counts)},
         int(nan_mask.sum()),
     )
 

@@ -85,9 +85,10 @@ def _gather(partials, keys: tuple[str, ...],
             sensitive: tuple[str, ...] = ()) -> dict:
     """Concatenate the named partial arrays in shard order — one pass.
 
-    A single iteration over ``partials`` (each spilled entry is decoded
-    exactly once), returning ``{key: concatenated array}`` plus a
-    ``"sensitive"`` dict when sensitive column names are requested.
+    A single iteration over ``partials`` (each shard's declared fields
+    are decoded exactly once), returning ``{key: concatenated array}``
+    plus a ``"sensitive"`` dict when sensitive column names are
+    requested.
     """
     parts: dict[str, list] = {key: [] for key in keys}
     groups: dict[str, list] = {name: [] for name in sensitive}
@@ -174,11 +175,12 @@ class FACTAuditor:
         A plain ``Table`` is the one-shard case.  Level 0 is one map
         node per shard (``partial.shard{i}``), each computing that
         shard's row-wise-pure arrays and exact contingency counts on
-        the executor's threads; with a store the partials *spill* (tagged
-        ``shard:<fp>``), so references rather than values travel to
-        level 1.  Level 1 is the four pillar sections as combine nodes:
-        each gathers the partials in shard order in one pass —
-        reproducing the whole-table arrays bitwise — so the report is
+        the executor's threads; with a store the partials *spill*, one
+        entry per field (tagged ``shard:<fp>``), so references rather
+        than values travel to level 1.  Level 1 is the four pillar
+        sections as combine nodes: each declares the fields it reads,
+        decodes only those, and gathers them in shard order in one pass
+        — reproducing the whole-table arrays bitwise — so the report is
         **byte-identical** at every shard count, ``n_jobs``, and
         backend.  The fairness combine also writes the report's power
         and intersectional notes, so nothing reads partials after the
@@ -199,11 +201,15 @@ class FACTAuditor:
         qi_names = tuple(schema.quasi_identifier_names)
         sensitive_names = tuple(schema.sensitive_names)
         map_fn = functools.partial(_audit_shard_partial, model, qi_names)
+        qi_fields = ("qi", "qi_nan") if qi_names else ()
         maps = shard_map_nodes(
             "partial", data, map_fn,
+            fields=("n_rows", "labels", "probabilities", "decisions", "X",
+                    "sensitive") + qi_fields,
             params=lambda: {"model": value_fingerprint(model)},
             code=_audit_shard_partial,
         )
+        predictions = ("labels", "probabilities", "decisions")
         tags = lambda fps: (f"table:{dataset_fp()}",)  # noqa: E731
 
         def fairness_fn(partials, extras, rng):
@@ -222,8 +228,12 @@ class FACTAuditor:
 
         sections = [
             combine_node("fairness", maps, fairness_fn,
+                         fields=predictions + ("sensitive",),
                          code=FACTAuditor._fairness, tags=tags),
             combine_node("accuracy", maps, accuracy_fn,
+                         fields=predictions + (
+                             () if calibration is None else ("X", "sensitive")
+                         ),
                          params=lambda: {
                              "conformal_alpha": self.conformal_alpha,
                              "n_bootstrap": self.n_bootstrap,
@@ -235,6 +245,7 @@ class FACTAuditor:
                          code=FACTAuditor._accuracy,
                          rng="spawn", tags=tags),
             combine_node("confidentiality", maps, confidentiality_fn,
+                         fields=(qi_fields + ("n_rows",)) if qi_names else (),
                          params={"accountant": None if accountant is None
                                  else {
                                      "epsilon_spent": accountant.epsilon_spent,
@@ -244,6 +255,7 @@ class FACTAuditor:
                          code=FACTAuditor._confidentiality,
                          tags=tags),
             combine_node("transparency", maps, transparency_fn,
+                         fields=("X", "labels"),
                          params={"surrogate_depth": self.surrogate_depth,
                                  "top_features": self.top_features,
                                  "pipeline": None if pipeline_result is None

@@ -44,6 +44,27 @@ from repro.store.store import Spilled
 _ABSENT = object()
 
 
+def _check_fields(node: Node, value) -> None:
+    """A spill node's value must be a dict of exactly its declared fields."""
+    if not isinstance(value, dict):
+        raise PlanError(
+            f"spill node {node.name!r} must return a dict of its fields "
+            f"{list(node.spill)}, got {type(value).__name__}"
+        )
+    for field in value:
+        if field not in node.spill:
+            raise PlanError(
+                f"spill node {node.name!r} returned the undeclared field "
+                f"{field!r}; it declares {list(node.spill)}"
+            )
+    for field in node.spill:
+        if field not in value:
+            raise PlanError(
+                f"spill node {node.name!r} did not return its declared "
+                f"field {field!r}"
+            )
+
+
 @dataclass
 class NodeRun:
     """What happened to one node during :meth:`Executor.run`."""
@@ -256,11 +277,13 @@ class Executor:
                     )
                     continue
                 if key is not None:
-                    # A spilled hit never decodes the payload: bounded
-                    # coordinator memory is the point.
+                    # A spilled hit never decodes a payload: bounded
+                    # coordinator memory is the point.  It needs every
+                    # field's entry; the first absent one makes a miss.
                     if node.spill:
-                        if store.probe(key):
-                            outcomes[index] = (Spilled(key, store), "hit")
+                        spilled = Spilled(key, store, node.spill)
+                        if spilled.present():
+                            outcomes[index] = (spilled, "hit")
                             continue
                     else:
                         value = store.get(key, _ABSENT)
@@ -285,21 +308,26 @@ class Executor:
 
         # A level's only spill holds its fresh value: that one partial is
         # within the memory bound, and consumers skip decoding it back.
-        hold = sum(node.spill for node in level) == 1
+        hold = sum(bool(node.spill) for node in level) == 1
         for (index, node, key), value in zip(misses, values):
-            if key is None:
-                outcomes[index] = (value, "uncacheable")
-                continue
             try:
-                store.put(key, value, tags=node.resolved_tags(fps_of(node)))
+                if node.spill:
+                    _check_fields(node, value)
+                if key is None:
+                    outcomes[index] = (value, "uncacheable")
+                    continue
+                tags = node.resolved_tags(fps_of(node))
+                if node.spill:
+                    spilled = Spilled(key, store, node.spill)
+                    spilled.commit(value, tags)
+                    if hold:
+                        spilled.held = value
+                    value = spilled
+                else:
+                    store.put(key, value, tags=tags)
             except Exception as error:
                 self._record_error(telemetry, parent_id, node, error)
                 raise
-            if node.spill:
-                spilled = Spilled(key, store)
-                if hold:
-                    spilled.held = value
-                value = spilled
             outcomes[index] = (value, "miss")
         return outcomes
 

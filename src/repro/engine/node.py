@@ -126,11 +126,14 @@ class Node:
         derived from the node's result (e.g. row counts).  Called on the
         coordinator after the node completes, never inside a worker.
     spill:
-        ``True`` commits the node's value to the store and passes a
-        :class:`~repro.store.Spilled` reference downstream instead of
-        the value (requires ``cacheable``; inert without a store).
-        Consumers resolve references one at a time, so the coordinator
-        never holds every partial at once.
+        The field names of a node whose value is a dict of exactly
+        those keys.  With a store, each field is committed as its own
+        entry and a :class:`~repro.store.Spilled` reference travels
+        downstream instead of the value (requires ``cacheable``; the
+        value's keys are checked on every schedule).  Consumers resolve
+        references one at a time and read only the fields they
+        declare, so the coordinator never holds every partial at once.
+        Empty (the default): the node does not spill.
     """
 
     def __init__(self, name: str, fn: Callable, *,
@@ -144,7 +147,7 @@ class Node:
                  record_params: dict | None = None,
                  tags: tuple[str, ...] | Callable = (),
                  annotate: Callable | None = None,
-                 spill: bool = False):
+                 spill: tuple[str, ...] | list[str] = ()):
         if not name or not isinstance(name, str):
             raise PlanError("node name must be a non-empty string")
         if not callable(fn):
@@ -169,11 +172,19 @@ class Node:
         if annotate is not None and not callable(annotate):
             raise PlanError(f"node {name!r}: annotate must be callable")
         self.annotate = annotate
-        self.spill = bool(spill)
+        if not isinstance(spill, (tuple, list)) or not all(
+                isinstance(field, str) and field for field in spill):
+            raise PlanError(
+                f"node {name!r}: spill names the fields of the node's "
+                f"dict value as non-empty strings, got {spill!r}"
+            )
+        self.spill = tuple(spill)
+        if len(set(self.spill)) != len(self.spill):
+            raise PlanError(f"node {name!r} declares a duplicate field")
         if self.spill and not self.cacheable:
             raise PlanError(
                 f"node {name!r}: spill requires a cacheable node "
-                "(the reference points at the store entry)"
+                "(the reference points at its store entries)"
             )
 
     # -- identity ------------------------------------------------------------

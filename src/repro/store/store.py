@@ -37,65 +37,103 @@ from repro import obs
 from repro.exceptions import DataError
 from repro.store import codec
 from repro.store.backend import JsonDirBackend, MemoryBackend
-from repro.store.fingerprint import fingerprint
+from repro.store.fingerprint import fingerprint, hash_bytes
 
 _MISS = object()
 
 
 class Spilled:
-    """A by-reference handle to an artifact left in a store.
+    """A by-reference handle to a partial left in a store, field by field.
 
-    Spill-enabled engine nodes (:mod:`repro.engine.sharding`) commit
-    their value to the store and hand *this* downstream instead of the
-    value itself — partial shard results persist as artifacts between
-    plan levels, so the coordinator's peak memory is bounded by one
-    shard plus the combined partials, and a warm re-run replays the
-    handle without ever decoding the payload.  The handle names the
-    store it points into, so consumers resolve it with
-    :func:`resolve_spilled` alone (one partial at a time, in shard
-    order).
+    Spill-enabled engine nodes (:mod:`repro.engine.sharding`) return a
+    dict of declared ``fields``, commit each field as its own store
+    entry, and hand *this* downstream instead of the value itself —
+    partial shard results persist as artifacts between plan levels, so
+    the coordinator's peak memory is bounded by one shard plus the
+    combined partials, and a warm re-run replays the handle without
+    ever decoding a payload.  The handle names the store it points
+    into, so consumers resolve it with :func:`resolve_spilled` alone
+    (one partial at a time, in shard order), reading only the fields
+    they declared.
 
-    The content fingerprint hashes the key: the key *is* the value's
-    content-derived identity (a cache digest over code, params, and
-    input fingerprints), so downstream cache keys stay stable across
-    cold and warm runs.  The producer may also leave the value it just
-    committed in ``held``; :func:`resolve_spilled` then returns it
-    without decoding the entry back.
+    Each field's entry lives under :meth:`field_key`, a hex digest of
+    the node's ``key`` and the field name; nothing is stored under
+    ``key`` itself.  The content fingerprint hashes ``key``: the key
+    *is* the value's content-derived identity (a cache digest over
+    code, params, and input fingerprints), so downstream cache keys stay
+    stable across cold and warm runs.  The producer may also leave the
+    value it just committed in ``held``; :func:`resolve_spilled` then
+    serves the fields from it without decoding any entry back.
     """
 
-    __slots__ = ("key", "store", "held")
+    __slots__ = ("key", "store", "fields", "held")
 
-    def __init__(self, key: str, store: "ArtifactStore"):
+    def __init__(self, key: str, store: "ArtifactStore",
+                 fields: tuple[str, ...]):
         self.key = str(key)
         self.store = store
+        self.fields = tuple(fields)
         self.held = None
+
+    def field_key(self, name: str) -> str:
+        """The store key of field ``name``'s entry."""
+        return hash_bytes(f"{self.key}\x1f{name}".encode("utf-8"))
+
+    def commit(self, value: dict, tags: tuple[str, ...]) -> None:
+        """Put each field of ``value`` as its own entry, with ``tags``."""
+        for name in self.fields:
+            self.store.put(self.field_key(name), value[name], tags=tags)
+
+    def read(self, name: str):
+        """Field ``name`` decoded from its entry.
+
+        A missing or corrupted entry raises :class:`DataError` naming
+        the spilled node's key and the field.
+        """
+        resolved = self.store.get(self.field_key(name), _MISS)
+        if resolved is _MISS:
+            raise DataError(
+                f"field {name!r} of spilled partial {self.key} has "
+                "vanished from the store; clear the cache and re-run"
+            )
+        return resolved
+
+    def present(self) -> bool:
+        """Whether every field's entry is in the store.
+
+        One counted :meth:`ArtifactStore.probe` over the field entries:
+        no payload is read, and each present entry's recency refreshes.
+        """
+        return self.store.probe(*map(self.field_key, self.fields))
 
     def __content_fingerprint__(self) -> str:
         return fingerprint(spilled=self.key)
 
     def __repr__(self) -> str:
-        return f"Spilled({self.key!r})"
+        return f"Spilled({self.key!r}, fields={list(self.fields)})"
 
 
-def resolve_spilled(value):
-    """``value`` itself, or the artifact behind a :class:`Spilled` ref.
+def resolve_spilled(value, fields: tuple[str, ...] | None = None):
+    """``value`` itself, or the partial behind a :class:`Spilled` ref.
 
-    A missing or corrupted spill entry raises :class:`DataError` — a
-    spilled partial has no recompute path of its own (its producing
-    node already reported a hit), so silently recomputing downstream
-    would replay garbage.
+    With ``fields`` the result is a dict of exactly those fields, read
+    from the held value, the store (one entry per field) or a raw dict
+    alike; without, a ref resolves to every field it spilled and any
+    other value passes through.  A missing or corrupted field entry
+    raises :class:`DataError` (see :meth:`Spilled.read`) — a spilled
+    partial has no recompute path of its own (its producing node
+    already reported a hit), so silently recomputing downstream would
+    replay garbage.
     """
-    if not isinstance(value, Spilled):
+    if isinstance(value, Spilled):
+        if fields is None:
+            fields = value.fields
+        if value.held is None:
+            return {name: value.read(name) for name in fields}
+        value = value.held
+    if fields is None:
         return value
-    if value.held is not None:
-        return value.held
-    resolved = value.store.get(value.key, _MISS)
-    if resolved is _MISS:
-        raise DataError(
-            f"spilled artifact {value.key} has vanished from the store; "
-            "clear the cache and re-run"
-        )
-    return resolved
+    return {name: value[name] for name in fields}
 
 
 def rng_state(rng: np.random.Generator) -> dict:
@@ -180,16 +218,17 @@ class ArtifactStore:
     def __contains__(self, key: str) -> bool:
         return self.backend.contains(key)
 
-    def probe(self, key: str) -> bool:
-        """Counted presence check that never reads the payload.
+    def probe(self, *keys: str) -> bool:
+        """Counted presence check of one artifact that never reads it.
 
-        The spill path's hit test: a present entry counts one hit, an
-        absent one counts one miss — the same accounting a :meth:`get`
-        would produce — but the (possibly large) artifact stays on disk
-        untouched.  Like a read, it refreshes the entry's LRU recency:
-        a probed partial is about to be resolved.
+        The spill path's hit test, over every entry of the artifact: if
+        all ``keys`` are present it counts one hit, else one miss (at
+        the first absent key) — the same accounting one :meth:`get`
+        would produce — but the (possibly large) payloads stay on disk
+        untouched.  Like a read, it refreshes each present entry's LRU
+        recency: a probed partial is about to be resolved.
         """
-        if self.backend.contains(key):
+        if all(self.backend.contains(key) for key in keys):
             self._count("hits")
             return True
         self._count("misses")

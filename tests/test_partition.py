@@ -8,6 +8,10 @@ the sharded FACT audit is **byte-identical** to the serial unsharded
 path at every shard count, worker count, backend, and store setting.
 """
 
+import os
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -27,12 +31,21 @@ from repro.engine import (
     Node,
     Plan,
     combine_node,
+    seed_identity,
     shard_map_nodes,
 )
+from repro.engine import sharding
 from repro.exceptions import DataError, PlanError, SchemaError
 from repro.learn.linear import LogisticRegression
 from repro.learn.table_model import TableClassifier
-from repro.store import ArtifactStore, MemoryBackend, table_fingerprint
+from repro.store import (
+    ArtifactStore,
+    JsonDirBackend,
+    MemoryBackend,
+    fingerprint,
+    resolve_spilled,
+    table_fingerprint,
+)
 from repro.store.store import Spilled
 
 
@@ -186,14 +199,14 @@ def _sum_rows(partials, extras, rng):
 
 def _rows_plan(parts):
     """Count rows per shard, then sum them in ``rows.combine``."""
-    maps = shard_map_nodes("rows", parts, _count_rows)
+    maps = shard_map_nodes("rows", parts, _count_rows, fields=("n",))
     return Plan([*maps, combine_node("rows.combine", maps, _sum_rows)])
 
 
 class TestShardMap:
     def test_spill_requires_a_cacheable_node(self):
         with pytest.raises(PlanError):
-            Node("bad", lambda i, r: 0, cacheable=False, spill=True)
+            Node("bad", lambda i, r: 0, cacheable=False, spill=("n",))
 
     def test_spill_and_warm_replay(self, census):
         parts = partition(census, n_shards=3)
@@ -297,14 +310,18 @@ class TestSpilledPartialTraffic:
 
 class TestStoreTrafficMatrix:
     # Cold then warm audits on every schedule: one report, the same
-    # per-node outcomes, and the store traffic captured at the commit
-    # before the engine moved its store calls onto the coordinator.
+    # per-node outcomes, and the same store traffic.  Each shard partial
+    # spills as eight field entries (puts), a warm map node's one probe
+    # covers all eight (one hit), and a cold combine reads only its
+    # declared fields: fairness 4, accuracy 5 with calibration,
+    # confidentiality 3 and transparency 2, so 14 reads per shard at 4
+    # shards, while the one shard's held value is never read back.
     SCHEDULES = ((1, "serial"), (1, "thread"), (2, "thread"), (2, "process"))
     FIELDS = ("hits", "misses", "puts", "corruptions", "bytes_written",
               "bytes_read")
     TRAFFIC = {
-        1: ((0, 9, 9, 0, 22145, 0), (5, 0, 0, 0, 0, 2850)),
-        4: ((16, 12, 12, 0, 23447, 74788), (8, 0, 0, 0, 0, 2850)),
+        1: ((0, 9, 16, 0, 22655, 0), (5, 0, 0, 0, 0, 2850)),
+        4: ((56, 12, 40, 0, 25487, 38471), (8, 0, 0, 0, 0, 2850)),
     }
 
     @pytest.mark.parametrize("n_shards", (1, 4))
@@ -385,3 +402,379 @@ class TestIncrementalShardedReaudit:
             store=store, rng=np.random.default_rng(1),
         )
         assert set(warm.statuses.values()) == {"hit"}
+
+
+# -- per-field spill layout ---------------------------------------------------
+
+
+def _two_field_map(shard):
+    return {"n": shard.n_rows, "hours": shard.column("hours_per_week")}
+
+
+def _fields_plan(parts, fields, fn):
+    """Two-field map nodes and one combine reading ``fields``."""
+    maps = shard_map_nodes("rows", parts, _two_field_map,
+                           fields=("n", "hours"))
+    return Plan([*maps, combine_node("rows.combine", maps, fn,
+                                     fields=fields)])
+
+
+def _sum_hours(partials, extras, rng):
+    return sum(float(partial["hours"].sum()) for partial in partials)
+
+
+class TestFieldDeclarations:
+    def test_spill_names_its_fields(self):
+        with pytest.raises(PlanError, match="spill names the fields"):
+            Node("bad", lambda i, r: 0, spill=True)
+        with pytest.raises(PlanError, match="duplicate field"):
+            Node("bad", lambda i, r: 0, spill=("n", "n"))
+        with pytest.raises(PlanError, match="must declare its fields"):
+            shard_map_nodes("rows", partition(Table(
+                Schema([numeric("x")]), {"x": np.arange(4.0)}
+            ), n_shards=2), _count_rows, fields=())
+
+    @pytest.mark.parametrize("with_store", (False, True),
+                             ids=["raw", "store"])
+    @pytest.mark.parametrize("value, message", [
+        (7, "must return a dict of its fields"),
+        ({"n": 1}, "did not return its declared field 'hours'"),
+        ({"n": 1, "hours": 2, "extra": 3}, "undeclared field 'extra'"),
+    ], ids=["not-a-dict", "missing", "extra"])
+    def test_map_value_must_hold_exactly_its_fields(self, census,
+                                                    with_store, value,
+                                                    message):
+        maps = shard_map_nodes("rows", partition(census, n_shards=2),
+                               lambda shard: value, fields=("n", "hours"))
+        plan = Plan([*maps, combine_node("rows.combine", maps, _sum_rows)])
+        store = ArtifactStore(MemoryBackend()) if with_store else None
+        with pytest.raises(PlanError, match=message) as raised:
+            Executor(n_jobs=1, name="t").run(plan, store=store)
+        assert "'rows.shard0'" in str(raised.value)
+        if store is not None:
+            assert len(store) == 0  # nothing of it was committed
+
+    def test_combine_fields_must_come_from_its_maps(self, census):
+        maps = shard_map_nodes("rows", partition(census, n_shards=2),
+                               _two_field_map, fields=("n", "hours"))
+        with pytest.raises(PlanError,
+                           match="'age', which map node 'rows.shard0'"):
+            combine_node("c", maps, _sum_rows, fields=("n", "age"))
+        with pytest.raises(PlanError, match="declares no fields"):
+            combine_node("c", [Node("plain", lambda i, r: 0)], _sum_rows)
+        assert combine_node("c", maps, _sum_rows).inputs == \
+            ("rows.shard0", "rows.shard1")
+
+    @pytest.mark.parametrize("n_shards, with_store", [
+        (2, False), (1, True), (2, True),
+    ], ids=["raw", "held", "spilled"])
+    def test_undeclared_field_fails_on_every_schedule(self, census,
+                                                      n_shards, with_store):
+        parts = partition(census, n_shards=n_shards)
+        store = ArtifactStore(MemoryBackend()) if with_store else None
+        executor = Executor(n_jobs=1, name="t")
+        with pytest.raises(KeyError, match="hours"):
+            executor.run(_fields_plan(parts, ("n",), _sum_hours),
+                         store=store)
+        declared = executor.run(
+            _fields_plan(parts, ("n", "hours"), _sum_hours), store=store
+        )
+        assert declared["rows.combine"] == sum(
+            float(shard.column("hours_per_week").sum())
+            for shard in parts.shards()
+        )
+
+
+class TestPerFieldSpill:
+    def test_each_field_is_one_entry_tagged_by_its_shard(self, census):
+        parts = partition(census, n_shards=2)
+        store = ArtifactStore(MemoryBackend())
+        result = Executor(n_jobs=1, name="t").run(
+            _fields_plan(parts, ("n",), _sum_rows), store=store
+        )
+        ref = result["rows.shard0"]
+        assert isinstance(ref, Spilled) and ref.fields == ("n", "hours")
+        assert ref.key not in store  # nothing under the node key itself
+        assert len({ref.field_key(field) for field in ref.fields}) == 2
+        assert all(ref.field_key(field) in store for field in ref.fields)
+        whole = resolve_spilled(ref)
+        assert list(whole) == ["n", "hours"]
+        assert whole["n"] == parts.shard_n_rows(0)
+        assert resolve_spilled(ref, ("hours",)).keys() == {"hours"}
+        assert store.invalidate_tag(
+            f"shard:{parts.shard_fingerprint(0)}"
+        ) == 2
+
+    @pytest.mark.parametrize("on_disk", [False, True],
+                             ids=["memory", "json-dir"])
+    def test_a_probe_hit_refreshes_every_field(self, tmp_path, census,
+                                               on_disk):
+        # A warm map node's presence check touches every field entry: the
+        # fields a combine reads next must not be evicted first.
+        backend = (JsonDirBackend(str(tmp_path / "cache")) if on_disk
+                   else MemoryBackend())
+        store = ArtifactStore(backend)
+        plan = _fields_plan(partition(census, n_shards=2), ("n",),
+                            _sum_rows)
+        cold = Executor(n_jobs=1, name="t").run(plan, store=store)
+        field_keys = [
+            ref.field_key(field)
+            for ref in (cold["rows.shard0"], cold["rows.shard1"])
+            for field in ref.fields
+        ]
+        if on_disk:  # mtimes order the LRU; make every entry stale
+            for key in backend.keys():
+                os.utime(backend._file(key), (1, 1))
+        else:
+            store.put("newer", 1)
+        warm = Executor(n_jobs=1, name="t").run(plan, store=store)
+        assert set(warm.statuses.values()) == {"hit"}
+        if on_disk:
+            assert all(os.stat(backend._file(key)).st_mtime > 1
+                       for key in field_keys)
+        else:
+            assert backend.keys()[0] == "newer"
+            assert set(backend.keys()[1:5]) == set(field_keys)
+
+    def test_a_shard_missing_one_field_recomputes(self, census):
+        parts = partition(census, n_shards=2)
+        store = ArtifactStore(MemoryBackend())
+        plan = _fields_plan(parts, ("n",), _sum_rows)
+        cold = Executor(n_jobs=1, name="t").run(plan, store=store)
+        store.invalidate(cold["rows.shard1"].field_key("hours"))
+        rerun = Executor(n_jobs=1, name="t").run(plan, store=store)
+        assert rerun.statuses == {"rows.shard0": "hit",
+                                  "rows.shard1": "miss",
+                                  "rows.combine": "hit"}
+        assert cold["rows.shard1"].field_key("hours") in store
+
+
+#: The fields each FACT section declares (calibration adds accuracy's
+#: conformal inputs).
+SECTION_FIELDS = {
+    "fairness": ("labels", "probabilities", "decisions", "sensitive"),
+    "accuracy": ("labels", "probabilities", "decisions"),
+    "confidentiality": ("qi", "qi_nan", "n_rows"),
+    "transparency": ("X", "labels"),
+}
+CALIBRATION_FIELDS = ("X", "sensitive")
+
+
+def _declared_fields(with_calibration: bool) -> dict:
+    fields = dict(SECTION_FIELDS)
+    if with_calibration:
+        fields["accuracy"] += CALIBRATION_FIELDS
+    return fields
+
+
+class _SpyMemory(MemoryBackend):
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def get(self, key):
+        self.reads.append(key)
+        return super().get(key)
+
+
+class _SpyDir(JsonDirBackend):
+    def __init__(self, path):
+        super().__init__(path)
+        self.reads = []
+
+    def get(self, key):
+        self.reads.append(key)
+        return super().get(key)
+
+
+class TestCombinesReadDeclaredFields:
+    @pytest.mark.parametrize("n_shards", (1, 4))
+    @pytest.mark.parametrize("with_calibration", (False, True),
+                             ids=["no-calibration", "calibration"])
+    @pytest.mark.parametrize("make_backend", [
+        lambda path: _SpyMemory(),
+        lambda path: _SpyDir(str(path / "cache")),
+    ], ids=["memory", "json-dir"])
+    def test_store_reads(self, fitted, tmp_path, n_shards, with_calibration,
+                         make_backend):
+        # Each shard's field is read once per combine declaring it; the
+        # one shard's held value is read back never.
+        model, calibration, test = fitted
+        calibration = calibration if with_calibration else None
+        data = test if n_shards == 1 else partition(test, n_shards=n_shards)
+        backend = make_backend(tmp_path)
+        store = ArtifactStore(backend)
+        plan = _auditor(store=store).build_plan(model, data, calibration,
+                                                store=store)
+        result = Executor(n_jobs=2, name="audit").run(
+            plan, store=store, rng=np.random.default_rng(99)
+        )
+        expected = Counter(
+            field for fields in _declared_fields(with_calibration).values()
+            for field in fields
+        )
+        for index in range(n_shards):
+            ref = result[f"partial.shard{index}"]
+            by_key = {ref.field_key(field): field for field in ref.fields}
+            read = Counter(by_key[key] for key in backend.reads
+                           if key in by_key)
+            assert read == (expected if n_shards > 1 else Counter())
+
+    @pytest.mark.parametrize("n_shards", (1, 4))
+    @pytest.mark.parametrize("with_store", (False, True),
+                             ids=["raw", "store"])
+    @pytest.mark.parametrize("with_calibration", (False, True),
+                             ids=["no-calibration", "calibration"])
+    def test_each_combine_receives_exactly_its_fields(
+            self, monkeypatch, fitted, n_shards, with_store,
+            with_calibration):
+        model, calibration, test = fitted
+        calibration = calibration if with_calibration else None
+        received = []
+        resolve = sharding.resolve_spilled
+
+        def spy(value, fields=None):
+            partial = resolve(value, fields)
+            received.append(tuple(partial))
+            return partial
+
+        monkeypatch.setattr(sharding, "resolve_spilled", spy)
+        store = ArtifactStore(MemoryBackend()) if with_store else None
+        _auditor(store=store).audit(
+            model, partition(test, n_shards=n_shards),
+            np.random.default_rng(99), calibration=calibration,
+        )
+        assert Counter(received) == Counter({
+            fields: n_shards
+            for fields in _declared_fields(with_calibration).values()
+        })
+
+
+class TestLostFieldEntries:
+    @pytest.mark.parametrize("damage", ["deleted", "corrupted"])
+    def test_a_lost_field_fails_loudly_and_names_it(self, fitted, damage):
+        model, calibration, test = fitted
+        store = ArtifactStore(MemoryBackend())
+        plan = _auditor(store=store).build_plan(
+            model, partition(test, n_shards=4), calibration, store=store
+        )
+        lost = []
+
+        def observer(run):
+            # Runs after the map level commits, before any combine reads.
+            if run.name == "partial.shard2":
+                key = run.value.field_key("labels")
+                if damage == "deleted":
+                    store.invalidate(key)
+                else:
+                    store.backend.put(key, '{"key": "truncated')
+                lost.append(run.value.key)
+
+        with pytest.raises(DataError) as raised:
+            Executor(n_jobs=1, name="audit").run(
+                plan, store=store, rng=np.random.default_rng(99),
+                observer=observer,
+            )
+        message = str(raised.value)
+        assert lost[0] in message and "'labels'" in message
+        assert store.corruptions == (1 if damage == "corrupted" else 0)
+
+    def test_a_small_lru_store_never_changes_the_report(self, fitted):
+        # Evictions land anywhere in a cold or warm 4-shard audit: among
+        # the map level's own field puts, or between the combines' reads.
+        model, calibration, test = fitted
+        reference = _auditor().audit(
+            model, test, np.random.default_rng(99), calibration=calibration
+        ).fingerprint()
+        parts = partition(test, n_shards=4)
+        outcomes = set()
+        for max_entries in range(2, 50, 3):
+            store = ArtifactStore(MemoryBackend(max_entries=max_entries))
+            auditor = _auditor(store=store)
+            for _ in range(2):
+                try:
+                    report = auditor.audit(model, parts,
+                                           np.random.default_rng(99),
+                                           calibration=calibration)
+                except DataError as error:
+                    assert "vanished from the store" in str(error)
+                    outcomes.add("raised")
+                else:
+                    assert report.fingerprint() == reference
+                    outcomes.add("equal")
+        assert outcomes == {"raised", "equal"}
+
+
+class TestKeysAcrossLayouts:
+    # Captured before partials spilled field by field: the layout moved,
+    # the keys did not, so a persisted store still replays its sections.
+    # Keys hash bytecode, so the literals hold on the reference Python
+    # (3.11); on every Python the section keys hash the map keys.
+    PINNED = {
+        "partial.shard0": "fad3cbcce39e2ada1ddcd8ce",
+        "partial.shard1": "438377f4a1b3291001bf835b",
+        "partial.shard2": "b588812267cf29473cefaabc",
+        "partial.shard3": "97fa29be871b5c358c6e5bd3",
+        "fairness": "6a0fcccbc37bd27b21ea2197",
+        "accuracy": "b2dda139324bf8a0700ecc3c",
+        "confidentiality": "ab4a625dc16682ce2e5072c8",
+        "transparency": "ee30cc8320ea3a3a72c8e505",
+    }
+
+    def test_map_and_section_keys_are_stable(self, fitted):
+        model, calibration, test = fitted
+        store = ArtifactStore(MemoryBackend())
+        plan = _auditor(store=store).build_plan(
+            model, partition(test, n_shards=4), calibration, store=store
+        )
+        seeds = Executor._spawn_seeds(plan, np.random.default_rng(99))
+        result = Executor(n_jobs=1, name="audit").run(
+            plan, store=store, rng=np.random.default_rng(99)
+        )
+        keys = {}
+        for node in plan.nodes:
+            if node.name.startswith("partial."):
+                keys[node.name] = result[node.name].key
+                assert keys[node.name] == node.key()
+                continue
+            keys[node.name] = node.key(
+                {name: fingerprint(spilled=keys[name])
+                 for name in node.inputs},
+                seed_identity(seeds[node.name])
+                if node.rng == "spawn" else None,
+            )
+            assert keys[node.name] in store
+        if sys.version_info[:2] == (3, 11):
+            assert keys == self.PINNED
+
+    @pytest.mark.parametrize("on_disk", [False, True],
+                             ids=["memory", "json-dir"])
+    def test_whole_partial_entries_miss_once(self, fitted, tmp_path,
+                                             on_disk):
+        # A store written when each partial was one entry under its map
+        # node's key: nothing reads those entries, so the map nodes miss
+        # once and recompute, and the sections, whose keys did not move,
+        # replay the same report.
+        model, calibration, test = fitted
+        parts = partition(test, n_shards=4)
+        store = ArtifactStore(JsonDirBackend(str(tmp_path / "cache"))
+                              if on_disk else MemoryBackend())
+        auditor = _auditor(store=store)
+        reference = auditor.audit(model, parts, np.random.default_rng(99),
+                                  calibration=calibration).fingerprint()
+        plan = auditor.build_plan(model, parts, calibration, store=store)
+        for index, node in enumerate(plan.levels()[0]):
+            ref = Spilled(node.key(), store, node.spill)
+            store.put(ref.key, resolve_spilled(ref),
+                      tags=(f"shard:{parts.shard_fingerprint(index)}",))
+            for field in ref.fields:
+                store.invalidate(ref.field_key(field))
+        before = store.stats()
+        report = auditor.audit(model, parts, np.random.default_rng(99),
+                               calibration=calibration)
+        after = store.stats()
+        assert report.fingerprint() == reference
+        # One miss per map node; the four sections hit.
+        assert (after["misses"] - before["misses"],
+                after["hits"] - before["hits"]) == (4, 4)
+        assert after["puts"] - before["puts"] == 4 * len(node.spill)

@@ -308,6 +308,16 @@ def test_presence_checks_read_no_payload(tmp_path, make_backend):
     assert (store.hits, store.misses, store.bytes_read) == (1, 1, 0)
 
 
+def test_a_probe_of_several_entries_counts_one_lookup():
+    # A spilled partial is one artifact stored as one entry per field.
+    store = ArtifactStore(MemoryBackend())
+    store.put("a", 1)
+    store.put("b", 2)
+    assert store.probe("a", "b") is True
+    assert store.probe("a", "absent", "b") is False
+    assert (store.hits, store.misses, store.bytes_read) == (1, 1, 0)
+
+
 @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "json-dir"])
 def test_presence_checks_refresh_lru_recency(tmp_path, on_disk):
     # A probed spill partial is read next, so it must not be evicted first.
