@@ -202,11 +202,14 @@ class FACTAuditor:
         sensitive_names = tuple(schema.sensitive_names)
         map_fn = functools.partial(_audit_shard_partial, model, qi_names)
         qi_fields = ("qi", "qi_nan") if qi_names else ()
+        # Every map node's key folds the model's fingerprint: hash the
+        # model once per plan, not once per shard.
+        model_fp = functools.cache(lambda: value_fingerprint(model))
         maps = shard_map_nodes(
             "partial", data, map_fn,
             fields=("n_rows", "labels", "probabilities", "decisions", "X",
                     "sensitive") + qi_fields,
-            params=lambda: {"model": value_fingerprint(model)},
+            params=lambda: {"model": model_fp()},
             code=_audit_shard_partial,
         )
         predictions = ("labels", "probabilities", "decisions")
