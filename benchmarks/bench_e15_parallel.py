@@ -5,9 +5,9 @@ intervals, Shapley attributions, permutation importances, grid search)
 should run "as fast as the hardware allows" *without* surrendering
 reproducibility.  This bench measures both halves of that promise:
 
-* **Speedup** — each workload runs with ``n_jobs=1`` and ``n_jobs=4``
-  on the thread and process backends; the table reports wall-clock and
-  the speedup factor.  Fan-out can only buy wall-clock where cores
+* **Speedup** — each workload runs inline (``n_jobs=1``) and on four
+  threads (``n_jobs=4``); the table reports wall-clock and the speedup
+  factor.  Fan-out can only buy wall-clock where cores
   exist, so the host's core count is printed with the table — on a
   4-core machine the bootstrap/Shapley rows clear 2.5x, on a single
   core the engine's overhead (ideally ~1x) is what's being measured.
@@ -67,7 +67,7 @@ def _timed(fn):
 
 
 def _workloads(smoke: bool):
-    """(name, runner) pairs; each runner takes (n_jobs, backend)."""
+    """(name, runner) pairs; each runner takes ``n_jobs``."""
     scale = 0.1 if smoke else 1.0
     n_values = int(20_000 * scale) + 100
     n_resamples = int(600 * scale) + 40
@@ -78,30 +78,30 @@ def _workloads(smoke: bool):
     explainer = ShapleyExplainer(model, X[:40], exact_limit=4)
     grid = {"l2": [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0]}
 
-    def run_bootstrap(n_jobs, backend):
+    def run_bootstrap(n_jobs):
         return bootstrap_ci(
             values, _blocked_median, np.random.default_rng(SEED + 2),
-            n_resamples=n_resamples, n_jobs=n_jobs, backend=backend,
+            n_resamples=n_resamples, n_jobs=n_jobs,
         )
 
-    def run_shapley(n_jobs, backend):
+    def run_shapley(n_jobs):
         result = explainer.explain(
             X[0], np.random.default_rng(SEED + 3), n_permutations=n_perms,
-            n_jobs=n_jobs, backend=backend,
+            n_jobs=n_jobs,
         )
         return result.values
 
-    def run_importance(n_jobs, backend):
+    def run_importance(n_jobs):
         result = permutation_importance(
             model, X, y, np.random.default_rng(SEED + 4), n_repeats=5,
-            n_jobs=n_jobs, backend=backend,
+            n_jobs=n_jobs,
         )
         return result.importances
 
-    def run_grid(n_jobs, backend):
+    def run_grid(n_jobs):
         result = grid_search(
             _make_logreg, grid, X, y, 4, np.random.default_rng(SEED + 5),
-            n_jobs=n_jobs, backend=backend,
+            n_jobs=n_jobs,
         )
         return np.concatenate([cv.scores for _, cv in result.trials])
 
@@ -130,19 +130,16 @@ def main(argv=None) -> int:
     all_identical = True
     try:
         for name, runner in _workloads(args.smoke):
-            runner(1, "thread")  # warm caches so serial isn't billed for them
-            serial_result, serial_s = _timed(lambda: runner(1, "thread"))
-            for backend in ("thread", "process"):
-                parallel_result, parallel_s = _timed(
-                    lambda: runner(N_JOBS, backend)
-                )
-                identical = _identical(serial_result, parallel_result)
-                all_identical = all_identical and identical
-                rows.append([
-                    name, backend, serial_s, parallel_s,
-                    serial_s / parallel_s if parallel_s > 0 else float("inf"),
-                    "yes" if identical else "NO",
-                ])
+            runner(1)  # warm caches so serial isn't billed for them
+            serial_result, serial_s = _timed(lambda: runner(1))
+            parallel_result, parallel_s = _timed(lambda: runner(N_JOBS))
+            identical = _identical(serial_result, parallel_result)
+            all_identical = all_identical and identical
+            rows.append([
+                name, serial_s, parallel_s,
+                serial_s / parallel_s if parallel_s > 0 else float("inf"),
+                "yes" if identical else "NO",
+            ])
     finally:
         append_session(telemetry, "e15_parallel")
         obs.reset()
@@ -153,8 +150,7 @@ def main(argv=None) -> int:
     )
     table = format_table(
         title,
-        ["workload", "backend", "serial_s", "parallel_s", "speedup",
-         "identical"],
+        ["workload", "serial_s", "parallel_s", "speedup", "identical"],
         rows,
     )
     emit(table)

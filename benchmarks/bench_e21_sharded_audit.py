@@ -7,8 +7,8 @@ combines in shard order, and the report's fingerprint equals the
 serial one's by construction.  This bench measures three promises:
 
 * **Shard scaling** — the same audit runs serially and sharded at
-  1/2/4 shards (``n_jobs`` matched to the shard count, process
-  backend for the sections' resampling maps).  On a box with at least
+  1/2/4 shards (``n_jobs`` threads matched to the shard count, for the
+  map nodes and the sections' resampling maps).  On a box with at least
   four cores the 4-shard run must beat serial by
   ``MIN_SHARDED_SPEEDUP``; on fewer cores the rows are reported but
   not enforced (map nodes have nothing to overlap onto).
@@ -16,8 +16,8 @@ serial one's by construction.  This bench measures three promises:
   reproduce the serial report's fingerprint exactly.  Enforced
   unconditionally, on any machine.
 * **Bounded coordinator RSS** — two fresh subprocesses audit the same
-  lazily-loaded shards with the same auditor (``n_jobs=2`` on the
-  process backend, whatever ``$REPRO_N_JOBS`` says), so only the data
+  lazily-loaded shards with the same auditor (``n_jobs=2`` threads,
+  whatever ``$REPRO_N_JOBS`` says), so only the data
   and the store differ: one materialises the whole table and audits it
   without a store, one audits the ``PartitionedTable`` out-of-core
   (on-disk spill store, partial fields tagged ``shard:<fp>``).  Their
@@ -37,7 +37,7 @@ wrote are printed.
 Run directly (``python benchmarks/bench_e21_sharded_audit.py``); pass
 ``--smoke`` for the quick CI-sized variant exercised on every push.
 Sharded audit speed is tracked by ``perf/``'s ``audit_incremental``
-workload (16 shards, process backend) through ``python -m repro bench``;
+workload (16 shards, two workers) through ``python -m repro bench``;
 ``BENCH_sharded_audit.json`` is frozen history of the deleted in-process
 suite.
 """
@@ -69,7 +69,7 @@ from repro.learn.linear import LogisticRegression  # noqa: E402
 from repro.learn.table_model import TableClassifier  # noqa: E402
 from repro.store import ArtifactStore  # noqa: E402
 
-#: The 4-shard process-backend audit must beat serial by this factor —
+#: The 4-shard audit on four threads must beat serial by this factor —
 #: enforced only on machines with at least four cores to map onto.
 MIN_SHARDED_SPEEDUP = 1.5
 
@@ -119,7 +119,7 @@ def _rss_probe(mode: str, smoke: bool) -> int:
     """Worker body for ``--rss-probe``: one audit, then a JSON line.
 
     Both modes audit the *same* lazily-loaded shards with the same
-    auditor (two workers, process backend); ``serial`` materialises
+    auditor (two worker threads); ``serial`` materialises
     them into one table first and runs without a store (the whole
     dataset plus the audit's working set lives in this process),
     ``sharded`` audits the ``PartitionedTable`` with an on-disk spill
@@ -133,7 +133,7 @@ def _rss_probe(mode: str, smoke: bool) -> int:
     with tempfile.TemporaryDirectory(prefix="e21-spill-") as path:
         store = ArtifactStore.on_disk(path) if mode == "sharded" else None
         auditor = FACTAuditor(n_bootstrap=n_bootstrap, n_jobs=2,
-                              backend="process", store=store)
+                              store=store)
         start = time.perf_counter()
         report = auditor.audit(
             model, parts.concat() if mode == "serial" else parts,
@@ -168,7 +168,7 @@ def _incremental_on_disk(model, test, n_bootstrap, telemetry,
     with tempfile.TemporaryDirectory(prefix="e21-warm-") as path:
         store = ArtifactStore.on_disk(path)
         auditor = FACTAuditor(n_bootstrap=n_bootstrap, n_jobs=2,
-                              backend="process", store=store)
+                              store=store)
         for label, data in (("cold", parts), ("append + re-audit", edited)):
             before = store.stats()
             report, wall = _timed(
@@ -239,8 +239,7 @@ def main(argv=None) -> int:
                 auditor = FACTAuditor(n_bootstrap=n_bootstrap)
                 return auditor.audit(model, test,
                                      np.random.default_rng(SEED + 1))
-            auditor = FACTAuditor(n_bootstrap=n_bootstrap, n_jobs=shards,
-                                  backend="process")
+            auditor = FACTAuditor(n_bootstrap=n_bootstrap, n_jobs=shards)
             parts = PartitionedTable.partition(test, n_shards=shards)
             return auditor.audit(model, parts,
                                  np.random.default_rng(SEED + 1))
@@ -261,7 +260,7 @@ def main(argv=None) -> int:
             if shards == 4:
                 speedup_at_4 = speedup
             rows.append([
-                f"sharded ({shards} shards, process)", wall, speedup,
+                f"sharded ({shards} shards, {shards} threads)", wall, speedup,
                 "yes" if identical else "NO",
             ])
         if cores >= 4 and speedup_at_4 < MIN_SHARDED_SPEEDUP:

@@ -61,8 +61,7 @@ def main():
 
     # 2. Sequential vs concurrent: same bytes, less wall-clock.
     seq, seq_s = timed_audit(model, test, calibration, n_jobs=1)
-    par, par_s = timed_audit(model, test, calibration,
-                             n_jobs=4, backend="thread")
+    par, par_s = timed_audit(model, test, calibration, n_jobs=4)
     print(f"sequential audit: {seq_s:.2f}s  fingerprint {seq.fingerprint()}")
     print(f"concurrent audit: {par_s:.2f}s  fingerprint {par.fingerprint()}")
     print(f"speedup: {seq_s / par_s:.1f}x; "

@@ -33,8 +33,7 @@ def main():
     # The audit consumes randomness (bootstrap resamples, importance
     # shuffles); identical seeds isolate the n_jobs comparison.
     serial_auditor = FACTAuditor(n_bootstrap=1000, n_jobs=1)
-    parallel_auditor = FACTAuditor(n_bootstrap=1000, n_jobs=4,
-                                   backend="thread")
+    parallel_auditor = FACTAuditor(n_bootstrap=1000, n_jobs=4)
 
     start = time.perf_counter()
     serial = serial_auditor.audit(

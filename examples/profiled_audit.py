@@ -40,7 +40,7 @@ def main():
     calibration, held_out = test.filter(mask), test.filter(~mask)
     model = TableClassifier(LogisticRegression()).fit(train)
 
-    auditor = FACTAuditor(n_bootstrap=300, n_jobs=2, backend="thread",
+    auditor = FACTAuditor(n_bootstrap=300, n_jobs=2,
                           store=ArtifactStore.in_memory())
     report = auditor.audit(model, held_out,
                            np.random.default_rng(SEED + 1),

@@ -69,8 +69,7 @@ def main():
     # The store is where partials spill (tagged ``shard:<fp>``) — and
     # what makes a re-audit after editing one shard cost one shard.
     store = ArtifactStore.on_disk(tempfile.mkdtemp(prefix="fact-shards-"))
-    auditor = FACTAuditor(n_bootstrap=200, n_jobs=2, backend="process",
-                          store=store)
+    auditor = FACTAuditor(n_bootstrap=200, n_jobs=2, store=store)
     start = time.perf_counter()
     sharded = auditor.audit(model, parts, np.random.default_rng(7))
     sharded_s = time.perf_counter() - start

@@ -10,12 +10,12 @@ resample loop, since NumPy fills bounded integers from the same stream
 either way — and then evaluate the statistic over the rows.  That
 evaluation is embarrassingly parallel: pass ``n_jobs`` to fan it out
 via :mod:`repro.parallel` with results guaranteed identical for any
-``n_jobs`` and backend (randomness is fixed before the first worker
-starts, and estimates are assembled by resample index).
+``n_jobs`` (randomness is fixed before the first worker starts, and
+estimates are assembled by resample index).
 
 A paired metric may carry a ``resampler`` attribute, as
 :func:`~repro.learn.metrics.roc_auc` does:
-``metric.resampler(y_true, y_pred)`` returns a picklable worker mapping
+``metric.resampler(y_true, y_pred)`` returns a worker mapping
 an index array to the metric's value on those rows (NaN when the
 resample is degenerate), bit-identical to
 ``metric(y_true[idx], y_pred[idx])``, or ``None`` for a sample it cannot
@@ -69,7 +69,7 @@ class IntervalEstimate:
 
 
 class _ResampleStatistic:
-    """Picklable per-resample worker: ``statistic(values[idx])``."""
+    """Per-resample worker: ``statistic(values[idx])``."""
 
     __slots__ = ("values", "statistic")
 
@@ -82,7 +82,7 @@ class _ResampleStatistic:
 
 
 class _ResampleMetric:
-    """Picklable paired worker; degenerate resamples become NaN."""
+    """Paired per-resample worker; degenerate resamples become NaN."""
 
     __slots__ = ("y_true", "y_pred", "metric")
 
@@ -104,7 +104,6 @@ def bootstrap_ci(values, statistic: Callable[[np.ndarray], float],
                  confidence: float = 0.95,
                  n_resamples: int = 1000,
                  n_jobs: int | None = None,
-                 backend: str = "thread",
                  store=None) -> IntervalEstimate:
     """Percentile bootstrap interval for ``statistic`` of one sample.
 
@@ -113,8 +112,8 @@ def bootstrap_ci(values, statistic: Callable[[np.ndarray], float],
     ``store`` memoises the interval in an
     :class:`~repro.store.ArtifactStore` keyed on the data content, the
     statistic's code, the parameters, and the rng state (``None``
-    defers to ``$REPRO_STORE``); ``n_jobs``/``backend`` stay *out* of
-    the key because results are identical across them.
+    defers to ``$REPRO_STORE``); ``n_jobs`` stays *out* of the key
+    because results are identical across it.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or len(values) < 2:
@@ -129,8 +128,7 @@ def bootstrap_ci(values, statistic: Callable[[np.ndarray], float],
         indices = rng.integers(0, n, size=(n_resamples, n))
         worker = _ResampleStatistic(values, statistic)
         estimates = np.array(pmap(
-            worker, list(indices), n_jobs=n_jobs, backend=backend,
-            name="bootstrap",
+            worker, list(indices), n_jobs=n_jobs, name="bootstrap",
         ))
         alpha = 1.0 - confidence
         lower, upper = np.quantile(
@@ -163,7 +161,6 @@ def bootstrap_paired_ci(y_true, y_pred,
                         confidence: float = 0.95,
                         n_resamples: int = 1000,
                         n_jobs: int | None = None,
-                        backend: str = "thread",
                         store=None) -> IntervalEstimate:
     """Percentile bootstrap for a metric of aligned (y_true, y_pred) pairs.
 
@@ -178,8 +175,8 @@ def bootstrap_paired_ci(y_true, y_pred,
     bug and propagates.  ``n_jobs`` parallelises the metric evaluations
     with identical results for every setting.  ``store`` memoises the
     interval keyed on data content + metric code + parameters + rng
-    state (``None`` defers to ``$REPRO_STORE``); ``n_jobs``/``backend``
-    stay out of the key because results are identical across them.
+    state (``None`` defers to ``$REPRO_STORE``); ``n_jobs`` stays out
+    of the key because results are identical across it.
     """
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
@@ -203,8 +200,7 @@ def bootstrap_paired_ci(y_true, y_pred,
         if worker is None:
             worker = _ResampleMetric(y_true, y_pred, metric)
         estimates = np.array(pmap(
-            worker, list(indices), n_jobs=n_jobs, backend=backend,
-            name="bootstrap",
+            worker, list(indices), n_jobs=n_jobs, name="bootstrap",
         ))
         valid = estimates[~np.isnan(estimates)]
         n_skipped = n_resamples - len(valid)

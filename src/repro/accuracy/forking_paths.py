@@ -66,7 +66,7 @@ def generate_noise_study(n_rows: int, n_predictors: int,
 
 
 class _PredictorTestTask:
-    """Picklable worker: raw p-value of one predictor column."""
+    """Worker: raw p-value of one predictor column."""
 
     __slots__ = ("predictors", "response")
 
@@ -83,8 +83,7 @@ class _PredictorTestTask:
 def hunt_spurious_predictors(response, predictors,
                              names: list[str] | None = None,
                              alpha: float = 0.05,
-                             n_jobs: int | None = None,
-                             backend: str = "thread") -> SpuriousScanResult:
+                             n_jobs: int | None = None) -> SpuriousScanResult:
     """Test every predictor against the response; correct the family.
 
     Returns per-procedure discovery counts plus the most "significant"
@@ -105,8 +104,7 @@ def hunt_spurious_predictors(response, predictors,
 
     worker = _PredictorTestTask(predictors, response)
     p_values = np.array(pmap(
-        worker, range(n_predictors), n_jobs=n_jobs, backend=backend,
-        name="spurious_scan",
+        worker, range(n_predictors), n_jobs=n_jobs, name="spurious_scan",
     ))
     discoveries = {
         procedure: correct(p_values, procedure, alpha).n_rejected

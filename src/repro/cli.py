@@ -69,9 +69,7 @@ def _cmd_audit(args) -> int:
         table, args.test_fraction, args.calibration_fraction, rng
     )
     model = TableClassifier(LogisticRegression()).fit(train)
-    auditor = FACTAuditor(
-        shards=args.shards, n_jobs=args.jobs, backend=args.backend
-    )
+    auditor = FACTAuditor(shards=args.shards, n_jobs=args.jobs)
     report = auditor.audit(
         model, test, rng, calibration=calibration, subject=args.data
     )
@@ -288,12 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "shards and audit map/combine (byte-identical "
                             "to the serial path)")
     audit.add_argument("--jobs", type=int, default=None,
-                       help="worker fan-out (default: $REPRO_N_JOBS)")
-    audit.add_argument("--backend", choices=("thread", "process"),
-                       default="thread",
-                       help="fan-out backend for the sections' "
-                            "resampling maps; shard maps and sections "
-                            "always run on threads")
+                       help="worker threads (default: $REPRO_N_JOBS, "
+                            "else 1)")
     audit.set_defaults(handler=_cmd_audit)
 
     datasheet = sub.add_parser("datasheet", help="render a dataset datasheet")

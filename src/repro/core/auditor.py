@@ -122,12 +122,16 @@ class FACTAuditor:
     top_features:
         How many importance-ranked drivers the report lists.
     n_jobs:
-        Fan-out for the audit's resampling-heavy internals (the
-        bootstrap intervals and permutation importances) via
-        :mod:`repro.parallel`; ``None`` defers to ``$REPRO_N_JOBS``.
-        The report is bit-identical for every setting.
+        Threads for the audit's plan nodes and its resampling-heavy
+        internals (the bootstrap intervals and permutation importances)
+        via :mod:`repro.parallel`; ``1`` runs inline, ``None`` defers
+        to ``$REPRO_N_JOBS``.  The report is bit-identical for every
+        setting.
     backend:
-        ``"thread"`` (default) or ``"process"`` for the fan-out.
+        Kept for callers that name a schedule: ``"serial"`` runs inline
+        whatever ``n_jobs`` says, while ``"thread"`` (the default) and
+        ``"process"`` both mean ``n_jobs`` threads.  Any other name
+        raises :class:`~repro.exceptions.DataError`.
     store:
         An :class:`~repro.store.ArtifactStore` memoising the audit
         **per pillar section**; ``None`` defers to ``$REPRO_STORE``
@@ -159,8 +163,12 @@ class FACTAuditor:
         self.surrogate_depth = surrogate_depth
         self.n_bootstrap = n_bootstrap
         self.top_features = top_features
-        self.n_jobs = n_jobs
-        self.backend = backend
+        if backend not in ("serial", "thread", "process"):
+            raise DataError(
+                f"unknown backend {backend!r}; choose from 'serial', "
+                "'thread' or 'process'"
+            )
+        self.n_jobs = 1 if backend == "serial" else n_jobs
         self.store = store
         self.shards = shards
 
@@ -181,8 +189,7 @@ class FACTAuditor:
         sections as combine nodes: each declares the fields it reads,
         decodes only those, and gathers them in shard order in one pass
         — reproducing the whole-table arrays bitwise — so the report is
-        **byte-identical** at every shard count, ``n_jobs``, and
-        backend.  The fairness combine also writes the report's power
+        **byte-identical** at every shard count and ``n_jobs``.  The fairness combine also writes the report's power
         and intersectional notes, so nothing reads partials after the
         run.  The stochastic sections (accuracy, then transparency)
         declare ``rng="spawn"``: each owns its own seed stream, so a
@@ -306,15 +313,14 @@ class FACTAuditor:
             model, test, calibration, accountant, pipeline_result,
             store=store,
         )
-        executor = Executor(n_jobs=self.n_jobs, backend=self.backend,
-                            name="audit")
+        executor = Executor(n_jobs=self.n_jobs, name="audit")
         telemetry = obs.get()
         span = contextlib.nullcontext() if telemetry is None else (
             telemetry.tracer.span(
                 "audit.run", subject=subject, n_rows=test.n_rows,
                 n_shards=(test.n_shards
                           if isinstance(test, PartitionedTable) else 1),
-                n_jobs=executor.n_jobs, backend=self.backend,
+                n_jobs=executor.n_jobs,
             )
         )
         with span:
@@ -444,12 +450,12 @@ class FACTAuditor:
         acc_ci = bootstrap_paired_ci(
             labels, arrays["decisions"], accuracy_metric, rng,
             n_resamples=self.n_bootstrap,
-            n_jobs=self.n_jobs, backend=self.backend, store=store,
+            n_jobs=self.n_jobs, store=store,
         )
         auc_ci = bootstrap_paired_ci(
             labels, probabilities, roc_auc, rng,
             n_resamples=self.n_bootstrap,
-            n_jobs=self.n_jobs, backend=self.backend, store=store,
+            n_jobs=self.n_jobs, store=store,
         )
         coverage = set_size = None
         by_group: dict[object, float] = {}
@@ -548,7 +554,7 @@ class FACTAuditor:
         importance = permutation_importance(
             model.estimator, X, arrays["labels"], rng, n_repeats=3,
             feature_names=model.feature_names,
-            n_jobs=self.n_jobs, backend=self.backend, store=store,
+            n_jobs=self.n_jobs, store=store,
         )
         section = TransparencySection(
             model_type=type(model.estimator).__name__,

@@ -23,7 +23,7 @@ Two subsystems run on it:
   keys.
 
 Determinism contract: a plan's results are bit-identical for every
-``n_jobs``, every backend, and with or without a store, because each
+``n_jobs`` and with or without a store, because each
 ``rng="spawn"`` node owns a ``SeedSequence`` child assigned positionally
 in plan order on the coordinator.
 """

@@ -10,8 +10,7 @@ re-implemented at every call site:
   :class:`repro.parallel.ParallelExecutor`.  Each ``rng="spawn"`` node
   owns a ``SeedSequence`` child spawned positionally in plan order on
   the coordinator, so every result is bit-identical for every
-  ``n_jobs``/backend combination — parallelism changes wall-clock,
-  never bytes.
+  ``n_jobs`` — parallelism changes wall-clock, never bytes.
 * **One node runner.**  For each level the coordinator keys, looks up
   and commits every node in plan order, and only the misses fan out,
   as node computations in one :meth:`ParallelExecutor.call` on the
@@ -129,26 +128,17 @@ class Executor:
     Parameters
     ----------
     n_jobs:
-        Fan-out within a level; ``None`` defers to ``$REPRO_N_JOBS``
-        then 1, ``-1`` uses every core.
-    backend:
-        ``"serial"``, ``"thread"``, or ``"process"``.  Node computations
-        are closures, so ``"process"`` runs them on threads; node
-        *internals* (e.g. a section's own resampling ``pmap``) still
-        honour the requested backend through their own parameters.
+        Threads computing a level's misses; ``1`` (the default) computes
+        them inline, ``None`` defers to ``$REPRO_N_JOBS`` then 1, ``-1``
+        uses every core.
     name:
         Span prefix: node spans are named ``{name}:{node.label}``.
         Computed nodes count under ``{name}.pool``.
     """
 
-    def __init__(self, n_jobs: int | None = None, backend: str = "serial",
-                 name: str = "engine"):
-        self._pool = ParallelExecutor(
-            n_jobs=n_jobs,
-            backend="thread" if backend == "process" else backend,
-            chunk_size=1,
-            name=f"{name}.pool",
-        )
+    def __init__(self, n_jobs: int | None = 1, name: str = "engine"):
+        self._pool = ParallelExecutor(n_jobs=n_jobs, chunk_size=1,
+                                      name=f"{name}.pool")
         self.n_jobs = self._pool.n_jobs
         self.name = name
 
@@ -386,7 +376,7 @@ class Executor:
         FairnessError from a section); the fan-out is an implementation
         detail of the engine.
         """
-        cause = error.__cause__ if error.__cause__ is not None else error
+        cause = error.__cause__
         self._record_error(telemetry, parent_id, nodes[error.task_index],
                            cause)
         raise cause

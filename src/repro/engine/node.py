@@ -18,7 +18,7 @@ needs to run it responsibly:
 * **randomness** — ``rng="spawn"`` gives the node its own
   ``SeedSequence``-spawned generator (one child per node, assigned in
   deterministic plan order, so results are bit-identical for every
-  ``n_jobs``/backend and a change to one node can never shift another
+  ``n_jobs`` and a change to one node can never shift another
   node's stream); ``rng="shared"`` threads the caller's generator
   through sequentially (pipeline semantics, with the store's rng
   continuity on replays); ``None`` means the node draws no randomness.

@@ -7,7 +7,7 @@ a stable topological order (for spawning per-node rng streams and
 committing results) and a level decomposition (each level's nodes have
 all dependencies satisfied by earlier levels, so they may run
 concurrently).  Both orders depend only on the plan's structure and the
-declaration order of its nodes, never on ``n_jobs`` or a backend.
+declaration order of its nodes, never on ``n_jobs``.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ class CVResult:
 
 
 class _FoldScoreTask:
-    """Picklable worker: fit a clone on one fold and score the held-out."""
+    """Worker: fit a clone on one fold and score the held-out."""
 
     __slots__ = ("model", "X", "y", "metric")
 
@@ -71,7 +71,6 @@ def cross_val_score(model: Classifier, X, y, n_folds: int,
                     rng: np.random.Generator | None = None,
                     metric: str = "accuracy",
                     n_jobs: int | None = None,
-                    backend: str = "thread",
                     folds: list[tuple[np.ndarray, np.ndarray]] | None = None,
                     ) -> CVResult:
     """K-fold cross-validation of a classifier on a design matrix.
@@ -91,8 +90,8 @@ def cross_val_score(model: Classifier, X, y, n_folds: int,
             raise DataError("cross_val_score needs an rng (or explicit folds)")
         folds = k_fold_indices(len(y), n_folds, rng)
     worker = _FoldScoreTask(model, X, y, metric)
-    scores = pmap(worker, folds, n_jobs=n_jobs, backend=backend,
-                  chunk_size=1, name="cross_val")
+    scores = pmap(worker, folds, n_jobs=n_jobs, chunk_size=1,
+                  name="cross_val")
     return CVResult(np.asarray(scores), metric)
 
 
@@ -116,7 +115,7 @@ class GridSearchResult:
 
 
 class _CandidateTask:
-    """Picklable worker: cross-validate one grid candidate on shared folds."""
+    """Worker: cross-validate one grid candidate on shared folds."""
 
     __slots__ = ("model_factory", "X", "y", "n_folds", "metric", "folds")
 
@@ -139,8 +138,7 @@ class _CandidateTask:
 def grid_search(model_factory, grid: dict[str, list], X, y, n_folds: int,
                 rng: np.random.Generator,
                 metric: str = "accuracy",
-                n_jobs: int | None = None,
-                backend: str = "thread") -> GridSearchResult:
+                n_jobs: int | None = None) -> GridSearchResult:
     """Exhaustive search over a parameter grid with k-fold scoring.
 
     ``model_factory`` is called with each parameter combination as keyword
@@ -162,8 +160,8 @@ def grid_search(model_factory, grid: dict[str, list], X, y, n_folds: int,
         for combo in itertools.product(*(grid[name] for name in names))
     ]
     worker = _CandidateTask(model_factory, X, y, n_folds, metric, folds)
-    results = pmap(worker, candidates, n_jobs=n_jobs, backend=backend,
-                   chunk_size=1, name="grid_search")
+    results = pmap(worker, candidates, n_jobs=n_jobs, chunk_size=1,
+                   name="grid_search")
     trials = list(zip(candidates, results))
     higher = _HIGHER_IS_BETTER[metric]
     best_params, best_result = (

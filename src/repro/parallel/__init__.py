@@ -6,8 +6,8 @@ explanations — embarrassingly parallel workloads that historically ran
 as sequential Python loops.  This package gives the whole toolkit one
 sanctioned way to go wide without surrendering reproducibility:
 
-* :class:`ParallelExecutor` / :func:`pmap` — chunked fan-out over a
-  thread pool, a process pool, or a serial fallback, with chunks
+* :class:`ParallelExecutor` / :func:`pmap` — chunked fan-out, inline
+  at ``n_jobs=1`` and over that many threads otherwise, with chunks
   collected in order on every schedule, worker-side error capture that
   re-raises the lowest failing task with its context, and
   :mod:`repro.obs` task/chunk/error counters.  Every resampling helper
@@ -20,8 +20,8 @@ sanctioned way to go wide without surrendering reproducibility:
 The determinism contract: every parallelised API in this toolkit draws
 all of its randomness **up front** from the caller's generator (in the
 same order the serial code always did) and assembles results **by task
-index**, so outputs are bit-identical for any ``n_jobs`` and for every
-backend — ``n_jobs=4`` is purely a wall-clock statement.
+index**, so outputs are bit-identical for any ``n_jobs`` —
+``n_jobs=4`` is purely a wall-clock statement.
 
 ``n_jobs`` resolution: an explicit integer wins; ``None`` defers to the
 ``REPRO_N_JOBS`` environment variable (the CI matrix exercises the
@@ -32,7 +32,6 @@ parallel path this way) and finally defaults to ``1``; ``-1`` means
 from __future__ import annotations
 
 from repro.parallel.executor import (
-    BACKENDS,
     ParallelExecutor,
     ParallelTaskError,
     pmap,
@@ -41,7 +40,6 @@ from repro.parallel.executor import (
 from repro.parallel.rng import spawn_rngs, spawn_seeds
 
 __all__ = [
-    "BACKENDS",
     "ParallelExecutor",
     "ParallelTaskError",
     "pmap",

@@ -1,11 +1,11 @@
-"""Chunked, *ordered* fan-out over threads or processes.
+"""Chunked, *ordered* fan-out: inline, or over a thread pool.
 
 The design constraints, in priority order:
 
 1. **Determinism** — results come back in task order regardless of
    completion order, and nothing about the output may depend on
-   ``n_jobs`` or the backend.  The executor therefore never touches
-   randomness; callers pre-draw it (see :mod:`repro.parallel.rng`).
+   ``n_jobs``.  The executor therefore never touches randomness;
+   callers pre-draw it (see :mod:`repro.parallel.rng`).
 2. **Diagnosability** — a worker failure is captured *at the worker*
    with the failing task's index and repr, then re-raised on the
    coordinator as :class:`ParallelTaskError` chaining the original
@@ -14,34 +14,24 @@ The design constraints, in priority order:
    schedule, so when several tasks fail the lowest one is reported,
    whatever finished first.
 
-Backends: ``"thread"`` (default — zero pickling, fine whenever the hot
-work releases the GIL, e.g. NumPy reductions and model ``predict``
-calls), ``"process"`` (true CPU parallelism; requires picklable
-callables and tasks), and ``"serial"`` (the same code path inline —
-useful to A/B the engine itself out of a measurement).  Inline and
-pooled maps feed one collection loop and record the same counters, so
-a worker's error arrives the same way at every ``n_jobs``, and a
-thread chunk's spans are adopted in chunk order, so they do too (a
-process worker's spans stay in the worker).
+``n_jobs`` alone picks the schedule: ``1`` (or a single chunk) runs
+inline, more runs that many threads — zero pickling, and the hot work
+(NumPy reductions, model ``predict`` calls) releases the GIL.  Inline
+and pooled maps feed one collection loop and record the same counters,
+so a worker's error arrives the same way at every ``n_jobs``, and a
+thread chunk's spans are adopted in chunk order, so they do too.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro import obs
 from repro.exceptions import DataError, ReproError
-
-BACKENDS = ("serial", "thread", "process")
 
 #: Environment variable consulted when ``n_jobs`` is ``None``; the CI
 #: matrix sets it to 2 so every push exercises the parallel path.
@@ -52,12 +42,11 @@ class ParallelTaskError(ReproError):
     """A worker task failed; carries the task's context to the caller."""
 
     def __init__(self, message: str, *, task_index: int, task_repr: str,
-                 chunk_index: int, backend: str, worker_traceback: str):
+                 chunk_index: int, worker_traceback: str):
         super().__init__(message)
         self.task_index = task_index
         self.task_repr = task_repr
         self.chunk_index = chunk_index
-        self.backend = backend
         self.worker_traceback = worker_traceback
 
 
@@ -86,27 +75,27 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
 
 @dataclass
 class _ChunkFailure:
-    """Worker-side capture of one failed task (picklable across processes)."""
+    """Worker-side capture of one failed task."""
 
     task_offset: int
     task_repr: str
     error_type: str
     error_message: str
     worker_traceback: str
-    exception: BaseException | None
+    exception: Exception
 
 
 def _invoke(thunk: Callable):
-    """Call one zero-argument task (module-level so pools can name it)."""
+    """Call one zero-argument task."""
     return thunk()
 
 
 def _run_chunk(fn: Callable, tasks: Sequence) -> list | _ChunkFailure:
     """Run one chunk in the worker; capture the first failure with context.
 
-    Returning (rather than raising) the failure keeps the task context
-    intact across the process boundary, where a bare exception would
-    arrive stripped of which task produced it.
+    Returning (rather than raising) the failure lets the coordinator
+    raise the lowest failing task's error in chunk order, whichever
+    chunk failed first.
     """
     results = []
     for offset, task in enumerate(tasks):
@@ -128,25 +117,7 @@ def _run_chunk(fn: Callable, tasks: Sequence) -> list | _ChunkFailure:
     return results
 
 
-def _pool_outcome(future: Future, chunk: tuple) -> list | _ChunkFailure:
-    """A pooled chunk's outcome, waiting for it if it is still running."""
-    try:
-        return future.result()
-    except Exception as error:  # noqa: BLE001 — re-raised with context
-        # The pool itself failed this chunk (worker died, unpicklable
-        # payload, ...): no worker-side record exists, so synthesise one
-        # for uniform handling.
-        return _ChunkFailure(
-            task_offset=0,
-            task_repr=f"<chunk of {len(chunk[1])} tasks>",
-            error_type=type(error).__qualname__,
-            error_message=str(error),
-            worker_traceback=traceback.format_exc(),
-            exception=error,
-        )
-
-
-def _scoped(pool: Executor, fn: Callable, chunks, tracer):
+def _scoped(pool: ThreadPoolExecutor, fn: Callable, chunks, tracer):
     """Pooled chunk outcomes, each chunk's span scope adopted in order.
 
     The trace is then what the same map records inline.
@@ -154,23 +125,20 @@ def _scoped(pool: Executor, fn: Callable, chunks, tracer):
     scopes = [tracer.scope() for _ in chunks]
     futures = [pool.submit(scope.run, _run_chunk, fn, chunk_tasks)
                for scope, (_, chunk_tasks) in zip(scopes, chunks)]
-    for scope, future, chunk in zip(scopes, futures, chunks):
-        outcome = _pool_outcome(future, chunk)
+    for scope, future in zip(scopes, futures):
+        outcome = future.result()
         tracer.adopt(scope)
         yield outcome
 
 
 class ParallelExecutor:
-    """Deterministic chunked map over a worker pool.
+    """Deterministic chunked map, inline or over a thread pool.
 
     Parameters
     ----------
     n_jobs:
-        Worker count; ``None`` consults ``$REPRO_N_JOBS`` then defaults
-        to 1, ``-1`` uses every core.
-    backend:
-        ``"thread"``, ``"process"``, or ``"serial"``.  ``n_jobs=1``
-        always runs serially whatever the backend says.
+        Worker threads; ``None`` consults ``$REPRO_N_JOBS`` then
+        defaults to 1, ``-1`` uses every core.  ``1`` runs inline.
     chunk_size:
         Tasks per dispatch unit.  Default: enough chunks for ~4 waves
         per worker, so stragglers can rebalance.
@@ -178,14 +146,9 @@ class ParallelExecutor:
         Prefix for telemetry metric names.
     """
 
-    def __init__(self, n_jobs: int | None = None, backend: str = "thread",
+    def __init__(self, n_jobs: int | None = None,
                  chunk_size: int | None = None, name: str = "parallel"):
-        if backend not in BACKENDS:
-            raise DataError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.backend = backend
         if chunk_size is not None and chunk_size < 1:
             raise DataError("chunk_size must be >= 1")
         self.chunk_size = chunk_size
@@ -209,18 +172,13 @@ class ParallelExecutor:
         if telemetry is not None:
             telemetry.metrics.counter(f"{self.name}.tasks").inc(len(tasks))
             telemetry.metrics.counter(f"{self.name}.chunks").inc(len(chunks))
-        inline = (self.backend == "serial" or self.n_jobs == 1
-                  or len(chunks) == 1)
         collector = telemetry.collector if telemetry is not None else None
         profiled_key = None
-        if collector is not None and (inline or self.backend != "process"):
-            # Sampling wraps fn in a closure, so it stays in-process:
-            # thread/serial backends only (a process worker could not
-            # pickle the wrapper, and its samples would die with it).
+        if collector is not None:
             profiled_key = ("pool", self.name)
             fn = collector.wrap(profiled_key, fn)
         try:
-            if inline:
+            if self.n_jobs == 1 or len(chunks) == 1:
                 return self._collect(
                     (_run_chunk(fn, chunk_tasks) for _, chunk_tasks in chunks),
                     chunks, telemetry,
@@ -236,8 +194,6 @@ class ParallelExecutor:
         The heterogeneous sibling of :meth:`map`: each task carries its
         own closure, which is how :class:`repro.engine.Executor`
         computes the cache misses of one plan level on its threads.
-        Closures are rarely picklable, so callers coerce ``"process"``
-        to ``"thread"`` first.
         """
         return self.map(_invoke, list(thunks))
 
@@ -253,19 +209,14 @@ class ParallelExecutor:
             for start in range(0, len(tasks), size)
         ]
 
-    def _make_pool(self) -> Executor:
-        if self.backend == "process":
-            return ProcessPoolExecutor(max_workers=self.n_jobs)
-        return ThreadPoolExecutor(max_workers=self.n_jobs)
-
     def _map_pool(self, fn, chunks, telemetry) -> list:
-        with self._make_pool() as pool:
-            if telemetry is not None and self.backend == "thread":
+        with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
+            if telemetry is not None:
                 outcomes = _scoped(pool, fn, chunks, telemetry.tracer)
             else:
                 futures = [pool.submit(_run_chunk, fn, chunk_tasks)
                            for _, chunk_tasks in chunks]
-                outcomes = map(_pool_outcome, futures, chunks)
+                outcomes = (future.result() for future in futures)
             try:
                 return self._collect(outcomes, chunks, telemetry)
             finally:
@@ -316,24 +267,21 @@ class ParallelExecutor:
         task_index = chunk_start + failure.task_offset
         message = (
             f"task {task_index} ({failure.task_repr}) in chunk "
-            f"{chunk_index} failed on the {self.backend} backend with "
-            f"{failure.error_type}: {failure.error_message}"
+            f"{chunk_index} failed with {failure.error_type}: "
+            f"{failure.error_message}"
         )
         raise ParallelTaskError(
             message,
             task_index=task_index,
             task_repr=failure.task_repr,
             chunk_index=chunk_index,
-            backend=self.backend,
             worker_traceback=failure.worker_traceback,
         ) from failure.exception
 
 
 def pmap(fn: Callable, tasks: Iterable, n_jobs: int | None = None,
-         backend: str = "thread", chunk_size: int | None = None,
-         name: str = "parallel") -> list:
+         chunk_size: int | None = None, name: str = "parallel") -> list:
     """One-shot :meth:`ParallelExecutor.map` with the default knobs."""
-    executor = ParallelExecutor(
-        n_jobs=n_jobs, backend=backend, chunk_size=chunk_size, name=name
-    )
+    executor = ParallelExecutor(n_jobs=n_jobs, chunk_size=chunk_size,
+                                name=name)
     return executor.map(fn, tasks)

@@ -184,7 +184,7 @@ class Pipeline:
                     )
                     trail["artifact"] = next_artifact
 
-            executor = Executor(n_jobs=1, backend="serial", name="stage")
+            executor = Executor(n_jobs=1, name="stage")
             plan_result = executor.run(
                 self.build_plan(context), {"table": table},
                 store=store, rng=context.rng, observer=observer,

@@ -3,7 +3,7 @@
 Wrapping a join or aggregate as a node buys exactly what every other
 engine computation gets for free: an automatic cache key (kernel code +
 join parameters + full-content fingerprints of both input tables), spans
-and provenance, bit-identical results at any ``n_jobs``/backend, and
+and provenance, bit-identical results at any ``n_jobs``, and
 store memoisation.  The cached artifact is tagged ``table:<fp>`` for
 each input table's fingerprint — the same tag idiom the pipeline uses —
 so re-registering a table through

@@ -48,7 +48,7 @@ class ImportanceResult:
 
 
 class _ShuffleScoreTask:
-    """Picklable worker: score drop for one (feature, permutation) pair."""
+    """Worker: score drop for one (feature, permutation) pair."""
 
     __slots__ = ("model", "X", "y", "metric", "baseline")
 
@@ -81,7 +81,6 @@ def permutation_importance(model: Classifier, X, y,
                            metric: str = "accuracy",
                            feature_names: list[str] | None = None,
                            n_jobs: int | None = None,
-                           backend: str = "thread",
                            store=None) -> ImportanceResult:
     """Mean score drop when each column is independently shuffled.
 
@@ -89,10 +88,10 @@ def permutation_importance(model: Classifier, X, y,
     :mod:`repro.parallel` (``None`` defers to ``$REPRO_N_JOBS``).  The
     shuffles are pre-drawn from ``rng`` in the serial loop's order and
     drops land in a fixed (feature, repeat) grid, so importances are
-    bit-identical for every ``n_jobs`` and backend.  ``store`` memoises
-    the result keyed on model content + data + parameters + rng state
-    (``None`` defers to ``$REPRO_STORE``); ``n_jobs``/``backend`` stay
-    out of the key because results are identical across them.
+    bit-identical for every ``n_jobs``.  ``store`` memoises the result
+    keyed on model content + data + parameters + rng state (``None``
+    defers to ``$REPRO_STORE``); ``n_jobs`` stays out of the key
+    because results are identical across it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -119,8 +118,7 @@ def permutation_importance(model: Classifier, X, y,
             for feature in range(n_features)
             for _ in range(n_repeats)
         ]
-        flat = pmap(worker, tasks, n_jobs=n_jobs, backend=backend,
-                    name="importance")
+        flat = pmap(worker, tasks, n_jobs=n_jobs, name="importance")
         drops = np.asarray(flat).reshape(n_features, n_repeats)
         return ImportanceResult(
             feature_names=list(feature_names),

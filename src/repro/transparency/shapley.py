@@ -98,7 +98,6 @@ class ShapleyExplainer:
     def explain(self, x, rng: np.random.Generator | None = None,
                 n_permutations: int = 100,
                 n_jobs: int | None = None,
-                backend: str = "thread",
                 store=None) -> ShapleyExplanation:
         """Shapley values of one point (exact or sampled by width).
 
@@ -106,7 +105,7 @@ class ShapleyExplainer:
         :mod:`repro.parallel` (``None`` defers to ``$REPRO_N_JOBS``);
         permutation orders are pre-drawn from ``rng`` and contributions
         accumulated in permutation order, so the values are bit-identical
-        for every ``n_jobs`` and backend.  The exact path stays serial —
+        for every ``n_jobs``.  The exact path stays serial —
         its memoised coalition cache is worth more than parallelism.
         ``store`` memoises the whole explanation keyed on the model's
         content, the background, ``x``, the parameters, and the rng
@@ -125,9 +124,7 @@ class ShapleyExplainer:
                 values = self._exact(x)
                 method = "exact"
             else:
-                values = self._sampled(
-                    x, rng, n_permutations, n_jobs, backend
-                )
+                values = self._sampled(x, rng, n_permutations, n_jobs)
                 method = f"sampled({n_permutations})"
             base = self._coalition_value(x, ())
             prediction = self._coalition_value(x, tuple(range(d)))
@@ -196,15 +193,14 @@ class ShapleyExplainer:
         return contribution
 
     def _sampled(self, x: np.ndarray, rng: np.random.Generator,
-                 n_permutations: int, n_jobs: int | None,
-                 backend: str) -> np.ndarray:
+                 n_permutations: int, n_jobs: int | None) -> np.ndarray:
         d = self._background.shape[1]
         # All randomness is drawn here, before any fan-out, in the same
         # order the serial loop always drew it.
         orders = [rng.permutation(d) for _ in range(n_permutations)]
         contributions = pmap(
             _ShapleyPermutationTask(self, x), orders,
-            n_jobs=n_jobs, backend=backend, name="shapley",
+            n_jobs=n_jobs, name="shapley",
         )
         # In-order accumulation: each feature receives one addend per
         # permutation, in permutation order — the same float operations
@@ -216,7 +212,7 @@ class ShapleyExplainer:
 
 
 class _ShapleyPermutationTask:
-    """Picklable worker evaluating one permutation's contributions."""
+    """Worker evaluating one permutation's contributions."""
 
     __slots__ = ("explainer", "x")
 

@@ -1,25 +1,30 @@
 """Tests for ``repro.engine`` — the dataflow-plan runtime.
 
 The contract under test is the one every runner now leans on: a plan's
-results are *bit-identical* for every ``n_jobs``/backend/store
+results are *bit-identical* for every ``n_jobs``/store
 combination, malformed wiring fails loudly at construction time, and
 caching and observability flow through the single executor code path.
 """
 
 import functools
+import multiprocessing.process
 import threading
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.accuracy.bootstrap import bootstrap_ci
+from repro.accuracy.forking_paths import hunt_spurious_predictors
 from repro.core import FACTAuditor
 from repro.data.synth import CreditScoringGenerator
 from repro.engine import Executor, Node, Plan, seed_identity
 from repro.exceptions import DataError, PlanError
 from repro.learn.linear import LogisticRegression
+from repro.learn.model_selection import grid_search
 from repro.learn.table_model import TableClassifier
 from repro.store import ArtifactStore
+from repro.transparency.importance import permutation_importance
 
 
 @pytest.fixture(autouse=True)
@@ -151,21 +156,19 @@ def test_plan_result_output_requires_single_sink():
 
 
 def test_results_byte_identical_across_n_jobs_backends_and_store():
-    baseline = Executor(n_jobs=1, backend="serial").run(
+    baseline = Executor(n_jobs=1).run(
         _make_plan(), {"base": BASE}, rng=np.random.default_rng(7)
     )
     reference = baseline.output.tobytes()
     for n_jobs in (1, 2, 4):
-        for backend in ("serial", "thread"):
-            for store in (None, ArtifactStore()):
-                result = Executor(n_jobs=n_jobs, backend=backend).run(
-                    _make_plan(), {"base": BASE},
-                    rng=np.random.default_rng(7), store=store,
-                )
-                assert result.output.tobytes() == reference, (
-                    f"n_jobs={n_jobs} backend={backend} "
-                    f"store={'on' if store else 'off'}"
-                )
+        for store in (None, ArtifactStore()):
+            result = Executor(n_jobs=n_jobs).run(
+                _make_plan(), {"base": BASE},
+                rng=np.random.default_rng(7), store=store,
+            )
+            assert result.output.tobytes() == reference, (
+                f"n_jobs={n_jobs} store={'on' if store else 'off'}"
+            )
 
 
 def test_spawn_streams_are_isolated_between_nodes():
@@ -258,9 +261,9 @@ def test_node_errors_propagate_unwrapped_inline_and_pooled():
         Node("bad", _boom, cacheable=False),
     ])
     with pytest.raises(DataError, match="section exploded"):
-        Executor(n_jobs=1, backend="serial").run(plan)
+        Executor(n_jobs=1).run(plan)
     with pytest.raises(DataError, match="section exploded"):
-        Executor(n_jobs=2, backend="thread").run(plan)
+        Executor(n_jobs=2).run(plan)
 
 
 # -- the coordinator owns the store ------------------------------------------
@@ -295,12 +298,11 @@ class _ThreadNotingStore(ArtifactStore):
         return super().memoize_with_status(compute, **kwargs)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_engine_store_calls_run_on_the_coordinator(backend):
+def test_engine_store_calls_run_on_the_coordinator():
     store = _ThreadNotingStore()
     for expected in ("miss", "hit"):
         store.calls.clear()
-        result = Executor(n_jobs=2, backend=backend).run(
+        result = Executor(n_jobs=2).run(
             _make_plan(), {"base": BASE}, rng=np.random.default_rng(7),
             store=store,
         )
@@ -315,16 +317,15 @@ def _refused(index):
     return complex(index, 1)
 
 
-@pytest.mark.parametrize("n_jobs, backend",
-                         [(1, "thread"), (2, "thread"), (2, "process")])
-def test_commit_failure_records_the_first_nodes_error_span(n_jobs, backend):
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_commit_failure_records_the_first_nodes_error_span(n_jobs):
     telemetry = obs.configure()
     plan = Plan([
         Node(f"n{index}", lambda inputs, rng, index=index: _refused(index))
         for index in range(2)
     ])
     with pytest.raises(DataError, match="cannot store"):
-        Executor(n_jobs=n_jobs, backend=backend, name="t").run(
+        Executor(n_jobs=n_jobs, name="t").run(
             plan, store=ArtifactStore()
         )
     assert [(span.name, span.attributes["error"])
@@ -346,7 +347,7 @@ def test_a_level_of_hits_dispatches_nothing():
     counters = []
     for _ in range(2):
         telemetry = obs.configure()
-        Executor(n_jobs=2, backend="thread", name="t").run(plan, store=store)
+        Executor(n_jobs=2, name="t").run(plan, store=store)
         counters.append({metric.name: metric.value
                          for metric in telemetry.metrics
                          if metric.name.startswith("t.pool.")})
@@ -472,6 +473,69 @@ def test_audit_telemetry_identical_across_reruns(audit_subject, backend):
         assert all(export == exports[0] for export in exports), (
             f"shards={shards}"
         )
+
+
+def test_auditor_backend_names_only_choose_inline_or_threads(audit_subject):
+    with pytest.raises(DataError, match="'serial', 'thread' or 'process'"):
+        FACTAuditor(backend="gpu")
+    recorded, fingerprints = {}, {}
+    for backend in ("serial", "thread"):
+        telemetry = obs.configure()
+        try:
+            fingerprints[backend] = _audit(
+                audit_subject, n_jobs=2, backend=backend
+            ).fingerprint()
+            recorded[backend] = [span.attributes["n_jobs"]
+                                 for span in telemetry.tracer.spans
+                                 if span.name == "audit.run"]
+        finally:
+            obs.reset()
+    # "serial" runs inline whatever n_jobs says; "thread" uses n_jobs.
+    assert recorded == {"serial": [1], "thread": [2]}
+    assert fingerprints["serial"] == fingerprints["thread"]
+
+
+def _refuse_to_start(process):
+    raise AssertionError(f"a fan-out started the process {process!r}")
+
+
+def test_no_fan_out_starts_a_process(audit_subject, monkeypatch):
+    # Every fan-out runs inline or on threads, the legacy
+    # backend="process" audit included: with process start-up made to
+    # fail, each result at n_jobs=2 equals its n_jobs=1 result.
+    model, calibration = audit_subject
+    evaluation = CreditScoringGenerator(
+        label_bias=0.3, proxy_strength=0.8,
+    ).generate(800, np.random.default_rng(405))
+    X = np.random.default_rng(406).standard_normal((120, 6))
+    y = (X[:, 0] + X[:, 1] > 0).astype(np.float64)
+    estimator = LogisticRegression().fit(X, y)
+
+    def run(n_jobs, backend):
+        report = FACTAuditor(
+            n_bootstrap=40, n_jobs=n_jobs, backend=backend, shards=4,
+            store=ArtifactStore(),
+        ).audit(model, evaluation, np.random.default_rng(11),
+                calibration=calibration)
+        interval = bootstrap_ci(X[:, 0], np.mean, np.random.default_rng(1),
+                                n_resamples=60, n_jobs=n_jobs)
+        importance = permutation_importance(
+            estimator, X, y, np.random.default_rng(2), n_repeats=2,
+            n_jobs=n_jobs,
+        )
+        search = grid_search(LogisticRegression, {"l2": [0.1, 10.0]}, X, y,
+                             3, np.random.default_rng(3), n_jobs=n_jobs)
+        scan = hunt_spurious_predictors(y, X, n_jobs=n_jobs)
+        return (
+            report.fingerprint(), interval,
+            importance.importances.tobytes(),
+            [(params, cv.scores.tobytes()) for params, cv in search.trials],
+            scan.p_values.tobytes(), scan.discoveries,
+        )
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        _refuse_to_start)
+    assert run(2, "process") == run(1, "serial")
 
 
 def test_audit_sections_isolated_from_each_other(audit_subject):

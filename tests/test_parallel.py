@@ -1,10 +1,10 @@
-"""The parallel engine: determinism across n_jobs/backends, error context.
+"""The parallel engine: determinism across n_jobs, error context.
 
 The contract under test is the one :mod:`repro.parallel` advertises:
 ``n_jobs`` is a wall-clock knob only — every parallelised API must
-return bit-identical results for any worker count and backend — and a
-worker crash must surface on the coordinator carrying the index and
-repr of the task that died.
+return bit-identical results for any worker count, inline or on
+threads — and a worker crash must surface on the coordinator carrying
+the index and repr of the task that died.
 """
 
 import threading
@@ -21,7 +21,6 @@ from repro.learn.linear import LogisticRegression
 from repro.learn.metrics import roc_auc
 from repro.learn.model_selection import cross_val_score, grid_search
 from repro.parallel import (
-    BACKENDS,
     ParallelExecutor,
     ParallelTaskError,
     pmap,
@@ -97,12 +96,12 @@ def fitted_model(rng):
 # -- executor mechanics -----------------------------------------------------
 
 def test_pmap_preserves_task_order_on_every_backend():
+    # Inline at n_jobs=1, on that many threads otherwise.
     tasks = list(range(97))
     expected = [t * t for t in tasks]
-    for backend in BACKENDS:
-        for n_jobs in (1, 2, 4):
-            assert pmap(_square, tasks, n_jobs=n_jobs, backend=backend,
-                        chunk_size=5) == expected
+    for n_jobs in (1, 2, 4):
+        assert pmap(_square, tasks, n_jobs=n_jobs,
+                    chunk_size=5) == expected
 
 
 def test_pmap_empty_and_single_task():
@@ -111,8 +110,6 @@ def test_pmap_empty_and_single_task():
 
 
 def test_executor_rejects_bad_configuration():
-    with pytest.raises(DataError):
-        ParallelExecutor(backend="gpu")
     with pytest.raises(DataError):
         ParallelExecutor(chunk_size=0)
     with pytest.raises(DataError):
@@ -192,8 +189,8 @@ def test_thread_map_exports_what_the_inline_map_exports():
                  else None)
         telemetry = obs.configure()
         try:
-            executor = ParallelExecutor(n_jobs=n_jobs, backend="thread",
-                                        chunk_size=1, name="outer")
+            executor = ParallelExecutor(n_jobs=n_jobs, chunk_size=1,
+                                        name="outer")
             tasks = [(index, n_jobs, gates) for index in range(6)]
             assert executor.map(_traced_task, tasks) == list(range(6))
             exports.append(telemetry.to_dicts())
@@ -206,32 +203,30 @@ def test_thread_map_exports_what_the_inline_map_exports():
 
 # -- worker crashes ---------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_worker_crash_surfaces_task_context(backend):
+@pytest.mark.parametrize("n_jobs", [1, 2], ids=["serial", "thread"])
+def test_worker_crash_surfaces_task_context(n_jobs):
     with pytest.raises(ParallelTaskError) as excinfo:
-        pmap(_explode_on_13, list(range(30)), n_jobs=2, backend=backend,
-             chunk_size=4)
+        pmap(_explode_on_13, list(range(30)), n_jobs=n_jobs, chunk_size=4)
     error = excinfo.value
     assert error.task_index == 13
     assert error.task_repr == "13"
-    assert error.backend == backend
+    assert error.chunk_index == 3
     assert "ValueError" in str(error)
     assert "unlucky task" in error.worker_traceback
 
 
 def test_worker_crash_chains_original_exception():
     with pytest.raises(ParallelTaskError) as excinfo:
-        pmap(_explode_on_13, list(range(30)), n_jobs=2, backend="thread")
+        pmap(_explode_on_13, list(range(30)), n_jobs=2)
     assert isinstance(excinfo.value.__cause__, ValueError)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_lowest_failing_task_is_raised_whatever_finishes_first(backend):
+def test_lowest_failing_task_is_raised_whatever_finishes_first():
     # Task 3 fails after task 30 has already failed on the other worker;
     # chunks are collected in order, so task 3 is the one reported.
     with pytest.raises(ParallelTaskError) as excinfo:
         pmap(_fail_3_late_and_30_early, list(range(40)), n_jobs=2,
-             backend=backend, chunk_size=1)
+             chunk_size=1)
     assert excinfo.value.task_index == 3
     assert str(excinfo.value.__cause__) == "task 3 failed late"
 
@@ -331,43 +326,37 @@ def test_spawn_seeds_validation(rng):
 
 # -- determinism suite: identical outputs for n_jobs in {1, 2, 4} -----------
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_bootstrap_ci_identical_across_n_jobs(backend):
+def test_bootstrap_ci_identical_across_n_jobs():
     values = np.random.default_rng(1).normal(5.0, 2.0, 250)
     baseline = bootstrap_ci(values, np.mean, np.random.default_rng(7),
                             n_resamples=120, n_jobs=1)
     for n_jobs in (2, 4):
         result = bootstrap_ci(values, np.mean, np.random.default_rng(7),
-                              n_resamples=120, n_jobs=n_jobs,
-                              backend=backend)
+                              n_resamples=120, n_jobs=n_jobs)
         assert result == baseline  # frozen dataclass: field-exact equality
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_shapley_identical_across_n_jobs(backend, fitted_model):
+def test_shapley_identical_across_n_jobs(fitted_model):
     model, X, _ = fitted_model
     explainer = ShapleyExplainer(model, X[:25], exact_limit=4)
     baseline = explainer.explain(X[0], np.random.default_rng(11),
                                  n_permutations=20, n_jobs=1)
     for n_jobs in (2, 4):
         result = explainer.explain(X[0], np.random.default_rng(11),
-                                   n_permutations=20, n_jobs=n_jobs,
-                                   backend=backend)
+                                   n_permutations=20, n_jobs=n_jobs)
         assert np.array_equal(result.values, baseline.values)
         assert result.base_value == baseline.base_value
         assert result.prediction == baseline.prediction
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_grid_search_identical_across_n_jobs(backend, fitted_model):
+def test_grid_search_identical_across_n_jobs(fitted_model):
     _, X, y = fitted_model
     grid = {"l2": [0.01, 1.0, 100.0]}
     baseline = grid_search(_make_logreg, grid, X, y, 3,
                            np.random.default_rng(13), n_jobs=1)
     for n_jobs in (2, 4):
         result = grid_search(_make_logreg, grid, X, y, 3,
-                             np.random.default_rng(13), n_jobs=n_jobs,
-                             backend=backend)
+                             np.random.default_rng(13), n_jobs=n_jobs)
         assert result.best_params == baseline.best_params
         assert result.best_score == baseline.best_score
         for (params_a, cv_a), (params_b, cv_b) in zip(baseline.trials,
@@ -472,10 +461,8 @@ def test_paired_ci_parallel_matches_serial_including_skips():
         assert parallel == serial
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("n_jobs", [1, 2])
-def test_paired_auc_counting_path_matches_per_resample_path(n_jobs,
-                                                            backend):
+def test_paired_auc_counting_path_matches_per_resample_path(n_jobs):
     # roc_auc carries a resampler, so its bootstrap counts row copies
     # over one shared sort; _auc_metric has none and re-runs roc_auc on
     # every resample.  Intervals and skip counts must agree exactly.
@@ -489,7 +476,7 @@ def test_paired_auc_counting_path_matches_per_resample_path(n_jobs,
         counted, per_resample = (
             bootstrap_paired_ci(y_true, y_pred, metric,
                                 np.random.default_rng(53), n_resamples=150,
-                                n_jobs=n_jobs, backend=backend)
+                                n_jobs=n_jobs)
             for metric in (roc_auc, _auc_metric)
         )
         assert counted == per_resample

@@ -3,8 +3,8 @@
 The contract under test: relational wiring fails loudly at construction
 time (dangling FKs, type mismatches, ownership cycles, integrity
 violations), joins and aggregations are deterministic order-stable
-kernels whose outputs are bit-identical for every ``n_jobs``/backend/
-store combination, FACT roles propagate through joins (with fan-out
+kernels whose outputs are bit-identical for every ``n_jobs``/store
+combination, FACT roles propagate through joins (with fan-out
 promoting keys to quasi-identifiers), and the proxy scan catches what a
 single-table audit structurally cannot — a join re-introducing a proxy
 for a sensitive attribute.
@@ -489,16 +489,14 @@ class TestEngineNodes:
         inputs = {"txns": txns_table(), "users": users_table()}
         fingerprints = set()
         for n_jobs in (1, 2, 4):
-            for backend in ("serial", "thread"):
-                for with_store in (False, True):
-                    store = (ArtifactStore.in_memory()
-                             if with_store else None)
-                    result = Executor(n_jobs=n_jobs, backend=backend).run(
-                        plan, inputs=inputs, store=store)
-                    fingerprints.add((
-                        table_fingerprint(result["joined"]),
-                        table_fingerprint(result["by_region"]),
-                    ))
+            for with_store in (False, True):
+                store = ArtifactStore.in_memory() if with_store else None
+                result = Executor(n_jobs=n_jobs).run(
+                    plan, inputs=inputs, store=store)
+                fingerprints.add((
+                    table_fingerprint(result["joined"]),
+                    table_fingerprint(result["by_region"]),
+                ))
         assert len(fingerprints) == 1
 
     def test_store_memoizes_joins(self):
