@@ -8,11 +8,11 @@ on the next level) and the ``Executor`` fans a level's ready nodes out
 through ``repro.parallel``.  This bench measures both promises:
 
 * **Section-level speedup** — the same audit runs sequentially
-  (``n_jobs=1``) and with concurrent sections (``n_jobs=2``/``4``,
-  thread backend).  On a multi-core box the concurrent run must beat
+  (``n_jobs=1``) and with concurrent sections (``n_jobs=2``/``4``
+  threads).  On a multi-core box the concurrent run must beat
   the sequential wall-clock; on a single core the speedup row is
   reported but not enforced (there is nothing to overlap onto).
-* **Byte identity** — every ``n_jobs`` × backend × store combination
+* **Byte identity** — every ``n_jobs`` × store combination
   must produce a report with *exactly* the sequential run's fingerprint.
   This is enforced unconditionally, on any machine.
 * **Incremental + concurrent** — a warm store replays the map and all
@@ -86,10 +86,9 @@ def main(argv=None) -> int:
     try:
         model, test, calibration, n_bootstrap = _setup(args.smoke)
 
-        def run(n_jobs, backend="thread", store=None):
+        def run(n_jobs, store=None):
             auditor = FACTAuditor(
-                n_bootstrap=n_bootstrap, n_jobs=n_jobs, backend=backend,
-                store=store,
+                n_bootstrap=n_bootstrap, n_jobs=n_jobs, store=store,
             )
             # Same seed every run: only wall-clock may differ.
             return auditor.audit(
@@ -97,7 +96,7 @@ def main(argv=None) -> int:
                 calibration=calibration,
             )
 
-        sequential, seq_s = _timed(lambda: run(1, "serial"), repeats)
+        sequential, seq_s = _timed(lambda: run(1), repeats)
         reference = sequential.fingerprint()
 
         rows = [["sequential (n_jobs=1)", seq_s, 1.0, "-"]]
