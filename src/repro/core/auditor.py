@@ -191,7 +191,8 @@ class FACTAuditor:
         — reproducing the whole-table arrays bitwise — so the report is
         **byte-identical** at every shard count and ``n_jobs``.  The
         fairness combine also writes the report's power and
-        intersectional notes, so nothing reads partials after the run.  The stochastic sections (accuracy, then transparency)
+        intersectional notes, so nothing reads partials after the run.
+        The stochastic sections (accuracy, then transparency)
         declare ``rng="spawn"``: each owns its own seed stream, so a
         change to one can never shift the other's results.  Per-shard
         cache keys fold each shard's content fingerprint: editing one

@@ -500,9 +500,9 @@ def _refuse_to_start(process):
 
 
 def test_no_fan_out_starts_a_process(audit_subject, monkeypatch):
-    # Every fan-out runs inline or on threads, the legacy
-    # backend="process" audit included: with process start-up made to
-    # fail, each result at n_jobs=2 equals its n_jobs=1 result.
+    # Every fan-out runs inline or on threads, an audit built with
+    # backend="process" included: with process start-up made to fail,
+    # each result at n_jobs=2 equals its n_jobs=1 result.
     model, calibration = audit_subject
     evaluation = CreditScoringGenerator(
         label_bias=0.3, proxy_strength=0.8,
