@@ -1,5 +1,7 @@
 """Unit tests for pre-, in- and post-processing mitigation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,43 @@ def test_reweighing_uniform_when_already_independent():
     group = np.array(["A", "A", "B", "B"], dtype=object)
     weights = reweighing_weights(y, group)
     np.testing.assert_allclose(weights, 1.0)
+
+
+#: Weight digests captured from the implementation that masked each
+#: (group, label) cell over the raw arrays; the one-pass code version
+#: must keep every weight bit-identical.
+REWEIGHING_GOLDEN = {
+    "census": "65f95f92ad2afb8ccc0cb875",
+    "empty_string_group": "5e0079c8a8af83941045621a",
+    "three_groups_two_labels": "5f7b3a1a8dd21d8c8959ee11",
+    "cell_without_rows": "fdeb23ce305735f0f9748820",
+}
+
+
+def _reweighing_case(name):
+    if name == "census":
+        from repro.data.synth import CensusIncomeGenerator
+
+        return reweigh(CensusIncomeGenerator().generate(
+            2_000, np.random.default_rng(26)))
+    if name == "empty_string_group":
+        y = [1, 1, 0, 0, 0, 1, 1, 0, 1]
+        group = ["", "", "", "a", "a", "a", "", "a", "é"]
+    elif name == "three_groups_two_labels":
+        y = [0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0]
+        group = list("abcabcabcabcacb")
+    else:  # group "c" has no label-0 rows
+        y = [0, 1, 0, 1, 1, 1, 1]
+        group = ["a", "a", "b", "b", "c", "c", "c"]
+    return reweighing_weights(np.array(y, dtype=float),
+                              np.array(group, dtype=object))
+
+
+@pytest.mark.parametrize("name", sorted(REWEIGHING_GOLDEN))
+def test_reweighing_golden(name):
+    weights = _reweighing_case(name)
+    digest = hashlib.sha256(weights.tobytes()).hexdigest()[:24]
+    assert digest == REWEIGHING_GOLDEN[name]
 
 
 def test_reweigh_improves_disparate_impact(credit_tables):
