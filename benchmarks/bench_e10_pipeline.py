@@ -12,7 +12,11 @@ throughput (events/second of wall time) and the recorded trail sizes,
 plus a lineage reconstruction check.  Expected shape: stage-level
 provenance is nearly free; content fingerprinting costs a modest
 constant factor; both leave full lineage reconstructable, which the
-uninstrumented pipeline cannot offer at any price.
+uninstrumented pipeline cannot offer at any price.  Fingerprint mode
+records each table's full-content digest (``table_fingerprint``, the
+key the artifact store uses), so every byte of every intermediate
+table is hashed; tables cache their digest, so a stage that returns
+its input costs nothing more.
 """
 
 import time
@@ -97,7 +101,7 @@ def test_e10_provenance_overhead(benchmark):
     for mode in ("stage", "fingerprint"):
         for stage_name in ("redact", "flag_large", "filter_eu"):
             assert stage_name in lineages[mode]
-    # The headline: sampled fingerprinting keeps full provenance within a
-    # small constant of bare execution (often inside timing noise).
+    # The headline: full-content fingerprinting keeps complete provenance
+    # within a small constant of bare execution (often inside timing noise).
     assert by_mode["fingerprint"][2] < 5.0 * by_mode["off"][2] + 50.0
     assert by_mode["stage"][2] < 5.0 * by_mode["off"][2] + 50.0

@@ -3,8 +3,23 @@
 The toolkit needs a dataset substrate that carries FACT metadata (see
 :mod:`repro.data.schema`) alongside the values.  ``Table`` stores each
 column as a numpy array — ``float64`` for numeric columns, ``object``
-(strings) for categorical ones — and is immutable by convention: every
-operation returns a new table sharing column arrays where possible.
+(strings) for categorical ones — and is immutable: it owns its buffers
+(caller arrays are copied on construction, and columns are handed out
+read-only), and every operation returns a new table sharing column
+arrays where possible.
+
+Because a table's bytes never change, it caches two things about its
+content.  Each categorical column gets a lazily built **content view**,
+``(categories, codes)``: the column's distinct strings in
+first-appearance order and an integer code per row.  The fingerprint
+renders the column's bytes from it, the store codec writes it, and the
+sorted factorization is derived from it.  And
+:func:`~repro.store.table_fingerprint` stores the table's content
+digest on the table the first time it runs.  ``select``, ``drop``,
+``rename``, ``with_role`` and ``with_column`` share column buffers, so
+the derived table inherits the views of every column it shares; row
+operations (``take``, ``filter``, ``slice``, ``concat``) start without
+views, and no derived table inherits a digest.
 """
 
 from __future__ import annotations
@@ -23,9 +38,13 @@ from repro.exceptions import DataError, SchemaError
 
 
 def _coerce(values: Sequence | np.ndarray, ctype: ColumnType) -> np.ndarray:
-    """Coerce raw values into the canonical storage array for ``ctype``."""
+    """Coerce raw values into a canonical storage array the table owns.
+
+    Numeric values are always copied, so a caller who later writes to
+    the array it passed in cannot change the table.
+    """
     if ctype is ColumnType.NUMERIC:
-        array = np.asarray(values, dtype=np.float64)
+        array = np.array(values, dtype=np.float64)
     else:
         array = np.asarray(
             [value if isinstance(value, str) else str(value) for value in values],
@@ -44,30 +63,56 @@ def _infer_ctype(values: Sequence | np.ndarray) -> ColumnType:
     return ColumnType.CATEGORICAL
 
 
-def _factorize(array: np.ndarray, ctype: ColumnType):
-    """Factorize one canonical column into sorted-unique codes.
+def _categorize(items: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """``(categories, codes)`` of string ``items`` in one dict pass.
 
-    Returns ``(uniques, codes, order, n_missing)``: ``uniques`` are the
-    sorted distinct values (``<U`` strings for categorical columns so
-    comparisons stay in C, float64 for numeric), ``codes`` index each
-    row into them with missing keys (NaN / ``""``) forced to ``-1``, and
-    ``order`` stably sorts the rows by code — the ``n_missing`` missing
-    rows first.  NaNs are pinned to one bucket before ``np.unique`` so
-    older numpy (per-NaN uniques) and newer numpy (collapsed NaNs)
-    produce identical codes; the bucket is unreachable through the
-    ``-1`` codes anyway.
+    ``categories`` are the distinct items in first-appearance order and
+    ``codes`` (read-only ``intp``) index each item into them.
     """
-    if ctype is ColumnType.NUMERIC:
-        missing = np.isnan(array)
-        safe = np.where(missing, 0.0, array)
-    else:
-        safe = array.astype("U")
-        missing = safe == ""
-    uniques, codes = np.unique(safe, return_inverse=True)
+    index: dict[str, int] = {}
+    add = index.setdefault
+    codes = np.array([add(item, len(index)) for item in items],
+                     dtype=np.intp)
+    codes.flags.writeable = False
+    return tuple(index), codes
+
+
+def _sorted_codes(uniques: np.ndarray, codes: np.ndarray,
+                  missing: np.ndarray) -> tuple:
     codes = codes.astype(np.int64)
     codes[missing] = -1
     order = np.argsort(codes, kind="stable")
     return uniques, codes, order, int(missing.sum())
+
+
+def _factorize(array: np.ndarray) -> tuple:
+    """Factorize one numeric column into sorted-unique codes.
+
+    Returns ``(uniques, codes, order, n_missing)``: ``uniques`` are the
+    sorted distinct float64 values, ``codes`` index each row into them
+    with NaN forced to ``-1``, and ``order`` stably sorts the rows by
+    code — the ``n_missing`` missing rows first.  NaNs are pinned to one
+    bucket before ``np.unique`` so older numpy (per-NaN uniques) and
+    newer numpy (collapsed NaNs) produce identical codes; the bucket is
+    unreachable through the ``-1`` codes anyway.
+    """
+    missing = np.isnan(array)
+    uniques, codes = np.unique(np.where(missing, 0.0, array),
+                               return_inverse=True)
+    return _sorted_codes(uniques, codes, missing)
+
+
+def _factorize_view(categories: tuple[str, ...], codes: np.ndarray) -> tuple:
+    """:func:`_factorize`'s output for a categorical column, from its view.
+
+    ``uniques`` are the sorted distinct ``<U`` strings (comparisons stay
+    in C) and ``""`` is the missing key.  Sorting the k categories and
+    gathering is the same as sorting the rendered rows: a row's ``<U``
+    string is its category's, trailing NULs stripped alike.
+    """
+    labels = np.asarray(categories, dtype="U")
+    uniques, inverse = np.unique(labels, return_inverse=True)
+    return _sorted_codes(uniques, inverse[codes], (labels == "")[codes])
 
 
 class Table:
@@ -90,18 +135,25 @@ class Table:
                     f"column {spec.name!r} has {len(array)} rows, expected {n_rows}"
                 )
             arrays[spec.name] = array
+        self._init(schema, arrays, 0 if n_rows is None else n_rows, {})
+
+    def _init(self, schema: Schema, columns: dict[str, np.ndarray],
+              n_rows: int, content: dict[str, tuple]) -> None:
         self._schema = schema
-        self._columns = arrays
-        self._n_rows = 0 if n_rows is None else n_rows
+        self._columns = columns
+        self._n_rows = n_rows
+        self._content = content
+        self._digest: str | None = None
         self._factor_cache: dict[str, tuple] = {}
-        self._views: dict[str, np.ndarray] = {}
+        self._read_only: dict[str, np.ndarray] = {}
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def _from_canonical(cls, schema: Schema,
                         columns: Mapping[str, np.ndarray],
-                        n_rows: int) -> "Table":
+                        n_rows: int,
+                        content: Mapping[str, tuple] | None = None) -> "Table":
         """Build a table from arrays already in canonical storage form.
 
         Internal fast path for operations whose outputs are gathers,
@@ -109,14 +161,12 @@ class Table:
         freshly computed float64 arrays): those are canonical by
         construction, so re-running the per-element coercion in
         ``__init__`` — the dominant cost of large joins — is skipped.
-        The caller vouches for dtype, 1-D shape, and row count.
+        ``content`` seeds the content views of columns whose views are
+        known.  The caller vouches for dtype, 1-D shape, row count, and
+        the views.
         """
         table = cls.__new__(cls)
-        table._schema = schema
-        table._columns = dict(columns)
-        table._n_rows = n_rows
-        table._factor_cache = {}
-        table._views = {}
+        table._init(schema, dict(columns), n_rows, dict(content or {}))
         return table
 
     @classmethod
@@ -192,13 +242,13 @@ class Table:
         ``np.array(...)`` on the result if you need a private mutable
         copy.
         """
-        view = self._views.get(name)
+        view = self._read_only.get(name)
         if view is None:
             if name not in self._columns:
                 raise SchemaError(f"no column named {name!r}")
             view = self._columns[name].view()
             view.flags.writeable = False
-            self._views[name] = view
+            self._read_only[name] = view
         return view
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -208,19 +258,48 @@ class Table:
         """The value arrays of several columns, in order."""
         return [self.column(name) for name in names]
 
+    def _content_view(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """The cached ``(categories, codes)`` view of a categorical column.
+
+        ``categories`` are the column's distinct strings in
+        first-appearance order and ``codes`` (read-only ``intp``) index
+        each row into them, so ``categories[codes[i]]`` is row ``i``.
+        Built in one dict pass on first use, inherited by derived tables
+        that share the column, and seeded by the store codec on decode.
+        """
+        view = self._content.get(name)
+        if view is None:
+            if self._schema[name].ctype is not ColumnType.CATEGORICAL:
+                raise SchemaError(f"column {name!r} is not categorical")
+            view = _categorize(self._columns[name].tolist())
+            self._content[name] = view
+        return view
+
+    def _shared_content(self, names: Iterable[str],
+                        renames: Mapping[str, str] | None = None) -> dict:
+        """The built content views of ``names``, keyed by their new names."""
+        renames = renames or {}
+        return {
+            renames.get(name, name): self._content[name]
+            for name in names if name in self._content
+        }
+
     def _factorized(self, name: str) -> tuple:
-        """Cached :func:`_factorize` of one column.
+        """Cached sorted factorization ``(uniques, codes, order, n_missing)``.
 
         Columns are immutable, so the factorization is computed once per
         table and reused — repeated joins and aggregations against the
         same table (star-schema dimension tables, benchmark repeats) pay
-        the sort only on first touch.  The cache never serializes: the
-        store codec and :func:`~repro.store.table_fingerprint` both work
-        from schema + column arrays.
+        the sort only on first touch.  A categorical column's comes from
+        its content view (:func:`_factorize_view`), a numeric one's from
+        :func:`_factorize`.
         """
         cached = self._factor_cache.get(name)
         if cached is None:
-            cached = _factorize(self.column(name), self._schema[name].ctype)
+            if self._schema[name].ctype is ColumnType.NUMERIC:
+                cached = _factorize(self.column(name))
+            else:
+                cached = _factorize_view(*self._content_view(name))
             self._factor_cache[name] = cached
         return cached
 
@@ -229,7 +308,7 @@ class Table:
 
         Lets :func:`repro.store.object_fingerprint` hash a table nested
         inside another object by content — independent of incidental
-        instance state such as the lazy factorization cache.
+        instance state such as the lazy content views.
         """
         from repro.store.fingerprint import table_fingerprint
 
@@ -253,7 +332,7 @@ class Table:
         schema = self._schema.select(list(names))
         return Table._from_canonical(
             schema, {name: self._columns[name] for name in names},
-            self._n_rows,
+            self._n_rows, self._shared_content(names),
         )
 
     def drop(self, names: Sequence[str]) -> "Table":
@@ -261,7 +340,7 @@ class Table:
         schema = self._schema.drop(list(names))
         return Table._from_canonical(
             schema, {name: self._columns[name] for name in schema.names},
-            self._n_rows,
+            self._n_rows, self._shared_content(schema.names),
         )
 
     def with_column(self, spec: ColumnSpec, values: Sequence) -> "Table":
@@ -274,12 +353,16 @@ class Table:
         schema = self._schema.with_column(spec)
         columns = dict(self._columns)
         columns[spec.name] = array
-        return Table(schema, columns)
+        kept = [name for name in self._columns if name != spec.name]
+        return Table._from_canonical(
+            schema, columns, len(array), self._shared_content(kept),
+        )
 
     def with_role(self, name: str, role: ColumnRole) -> "Table":
         """Table with one column's FACT role changed."""
         return Table._from_canonical(
-            self._schema.with_role(name, role), self._columns, self._n_rows
+            self._schema.with_role(name, role), self._columns, self._n_rows,
+            self._content,
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
@@ -290,7 +373,10 @@ class Table:
             new_name = mapping.get(spec.name, spec.name)
             specs.append(ColumnSpec(new_name, spec.ctype, spec.role, spec.description))
             columns[new_name] = self._columns[spec.name]
-        return Table._from_canonical(Schema(specs), columns, self._n_rows)
+        return Table._from_canonical(
+            Schema(specs), columns, self._n_rows,
+            self._shared_content(self._columns, mapping),
+        )
 
     # -- row transforms ---------------------------------------------------------
 

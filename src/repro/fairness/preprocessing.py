@@ -18,6 +18,7 @@ import numpy as np
 from repro.data.schema import ColumnType
 from repro.data.table import Table
 from repro.exceptions import FairnessError
+from repro.fairness.metrics import _group_rows
 from repro.learn.table_model import TableClassifier
 
 
@@ -26,33 +27,65 @@ def reweighing_weights(y_true, group) -> np.ndarray:
 
     Training with these weights makes the weighted empirical distribution
     satisfy independence between group and label, removing the incentive
-    to use group (or its proxies) to predict the label.
+    to use group (or its proxies) to predict the label.  Groups are the
+    keys of the fairness grouping pass (a missing group, ``None`` or
+    NaN, raises :class:`FairnessError`, as does a NaN label: a row
+    outside every cell would get no weight).
     """
     y_true = np.asarray(y_true, dtype=np.float64)
     group = np.asarray(group)
     if y_true.shape != group.shape:
         raise FairnessError("y_true and group must be aligned")
+    groups = _group_rows(group)
+    return _cell_weights(y_true, groups.codes, len(groups.keys))
+
+
+def _cell_weights(y_true: np.ndarray, codes: np.ndarray,
+                  n_groups: int) -> np.ndarray:
+    """Reweighing weights from group ``codes`` in one counting pass.
+
+    Each (group, label) cell's weight is the same float expression the
+    per-cell masks computed, ``(n_g / n) * (n_y / n) / (n_gy / n)``, so
+    every weight is bit-identical to theirs.
+    """
+    if np.isnan(y_true).any():
+        raise FairnessError(
+            f"{int(np.isnan(y_true).sum())} labels are NaN; "
+            "every reweighed row needs a label"
+        )
     n = len(y_true)
-    weights = np.empty(n, dtype=np.float64)
-    for g in np.unique(group):
-        for label in np.unique(y_true):
-            mask = (group == g) & (y_true == label)
-            joint = mask.sum() / n
-            if joint == 0.0:
-                continue
-            marginal = ((group == g).sum() / n) * ((y_true == label).sum() / n)
-            weights[mask] = marginal / joint
-    return weights
+    labels, label_codes = np.unique(y_true, return_inverse=True)
+    joint = np.bincount(
+        codes * len(labels) + label_codes, minlength=n_groups * len(labels)
+    ).reshape(n_groups, len(labels))
+    marginal = ((joint.sum(axis=1) / n)[:, None]
+                * (joint.sum(axis=0) / n)[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = marginal / (joint / n)
+    return cells[codes, label_codes]
 
 
 def reweigh(table: Table, sensitive: str | None = None,
             target: str | None = None) -> np.ndarray:
-    """Table-level convenience for :func:`reweighing_weights`."""
+    """Table-level convenience for :func:`reweighing_weights`.
+
+    A categorical sensitive column is grouped by its cached content
+    view (its codes are the cells' group index), so no grouping pass
+    runs over the strings.
+    """
     group = table.sensitive(sensitive)
     name = target or table.target_name
     if name is None:
         raise FairnessError("no target column declared or named")
-    return reweighing_weights(table.column(name), group)
+    if sensitive is None:
+        sensitive = table.schema.sensitive_names[0]
+    if table.schema[sensitive].ctype is not ColumnType.CATEGORICAL:
+        return reweighing_weights(table.column(name), group)
+    categories, codes = table._content_view(sensitive)
+    return _cell_weights(
+        np.asarray(table.column(name), dtype=np.float64), codes,
+        len(categories),
+    )
 
 
 def massage(table: Table, ranker: TableClassifier,

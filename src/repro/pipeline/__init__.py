@@ -11,7 +11,6 @@ from repro.pipeline.provenance import (
     Artifact,
     ProvenanceGraph,
     Step,
-    fingerprint_table,
 )
 from repro.pipeline.stage import (
     CleanStage,
@@ -56,5 +55,4 @@ __all__ = [
     "Step",
     "TrainStage",
     "ValidateSchemaStage",
-    "fingerprint_table",
 ]

@@ -6,38 +6,24 @@ essential for transparency."  The provenance graph is the accountability
 half: a bipartite DAG of *artefacts* (datasets, models, reports) and
 *steps* (operations with parameters), from which the full lineage of any
 result can be reconstructed and rendered.
+
+A table artefact's fingerprint is
+:func:`~repro.store.fingerprint.table_fingerprint`, the full-content
+digest the artifact store keys on, so lineage and the cache name a
+table the same way and two tables differing in any byte get different
+artefacts.  Tables cache that digest, so registering the same table
+object again (a stage that returns its input) costs nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import networkx as nx
-import numpy as np
 
 from repro.data.table import Table
 from repro.exceptions import ProvenanceError
-
-
-def fingerprint_table(table: Table, sample_rows: int = 64) -> str:
-    """A short content hash of a table (schema + sampled values).
-
-    Sampling keeps fingerprinting O(columns·sample) so provenance stays
-    cheap at Internet-Minute volume; the schema, shape, and a
-    deterministic row sample pin the identity well enough for audits.
-    """
-    hasher = hashlib.sha256()
-    hasher.update(repr([(spec.name, spec.ctype.value, spec.role.value)
-                        for spec in table.schema]).encode())
-    hasher.update(str(table.n_rows).encode())
-    if table.n_rows:
-        step = max(1, table.n_rows // sample_rows)
-        indices = np.arange(0, table.n_rows, step)[:sample_rows]
-        for name in table.column_names:
-            column = table.column(name)
-            hasher.update(np.asarray(column[indices], dtype="U32").tobytes())
-    return hasher.hexdigest()[:16]
+from repro.store.fingerprint import table_fingerprint
 
 
 @dataclass(frozen=True)
@@ -87,8 +73,8 @@ class ProvenanceGraph:
         return artifact
 
     def add_table(self, table: Table, description: str = "") -> Artifact:
-        """Register a table artefact (fingerprinted)."""
-        return self.add_artifact("table", fingerprint_table(table), description)
+        """Register a table artefact, fingerprinted by its full content."""
+        return self.add_artifact("table", table_fingerprint(table), description)
 
     def record_step(self, name: str, inputs: list[Artifact],
                     outputs: list[Artifact],

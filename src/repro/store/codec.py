@@ -10,16 +10,30 @@ envelopes and :func:`decode` restores them precisely:
   repr guarantees ``json.loads(json.dumps(x)) == x`` bit-for-bit;
 * NumPy arrays and scalars carry dtype + shape + raw bytes (hex), so
   ``float64`` comes back ``float64``, not "a number";
+* string arrays (object arrays of ``str``, which is how tables store
+  categoricals) carry their distinct strings once, as ``categories``,
+  plus an integer array of ``codes`` in the smallest unsigned dtype
+  that indexes them — a 20,000-row census column with 40 distinct
+  values is 40 strings and 20,000 one-byte codes, not 20,000 strings;
 * dataclasses carry their import path and field values, and are
   reconstructed through the class itself — restricted to classes
   defined inside :mod:`repro`, so a tampered cache file cannot name
   arbitrary constructors;
 * tables carry their full schema (types, FACT roles, descriptions) and
-  every column.
+  every column; a categorical column is written from the table's cached
+  content view, and a decoded table comes back with those views seeded
+  (never with a digest — keys downstream are recomputed from the
+  decoded content, so a tampered entry cannot vouch for itself).
 
 Anything the codec cannot represent raises
 :class:`~repro.exceptions.DataError` at *encode* time — a cache that
-silently stored an approximation would poison every replay.
+silently stored an approximation would poison every replay.  Decoding
+validates what it rebuilds (string categories, in-range integer codes,
+columns that match their schema, resolvable ``repro`` classes) and
+raises :class:`DataError` on anything else, which the store counts as
+one corruption and recomputes.  The ``__strarray__`` envelope of older
+entries (one JSON list of strings per array) is no longer written and
+decodes as such a corruption, so a legacy entry misses once.
 """
 
 from __future__ import annotations
@@ -31,12 +45,19 @@ import json
 
 import numpy as np
 
-from repro.exceptions import DataError
+from repro.data.schema import ColumnRole, ColumnSpec, ColumnType, Schema
+from repro.data.table import Table, _categorize
+from repro.exceptions import DataError, ReproError
 
-#: Envelope tags understood by :func:`decode`.
+#: Envelope tags: a dict holding any of these keys is an envelope, so
+#: user dicts that do are escaped.  ``__strarray__`` (the legacy string
+#: array) is no longer written but stays reserved, so such a user dict
+#: is still escaped and a legacy envelope is refused, not replayed as a
+#: plain dict.
 _TAGS = (
-    "__tuple__", "__ndarray__", "__strarray__", "__npscalar__",
-    "__mapping__", "__dataclass__", "__enum__", "__table__", "__escaped__",
+    "__tuple__", "__ndarray__", "__strings__", "__strarray__",
+    "__npscalar__", "__mapping__", "__dataclass__", "__enum__", "__table__",
+    "__escaped__",
 )
 
 
@@ -50,12 +71,13 @@ def encode(value: object) -> object:
         if value.dtype == object:
             # Tables store categoricals as object arrays of str; anything
             # else in an object array has no exact byte representation.
-            items = value.tolist()
+            items = value.ravel().tolist()
             if not all(isinstance(item, str) for item in items):
                 raise DataError(
                     "cannot store non-string object-dtype arrays exactly"
                 )
-            return {"__strarray__": items}
+            categories, codes = _categorize(items)
+            return _encode_strings(categories, codes.reshape(value.shape))
         return {
             "__ndarray__": {
                 "dtype": str(value.dtype),
@@ -89,7 +111,7 @@ def encode(value: object) -> object:
             "class": _class_path(type(value)),
             "value": encode(value.value),
         }}
-    if _is_table(value):
+    if isinstance(value, Table):
         return {"__table__": {
             "schema": [
                 [spec.name, spec.ctype.value, spec.role.value,
@@ -97,8 +119,10 @@ def encode(value: object) -> object:
                 for spec in value.schema
             ],
             "columns": {
-                name: encode(value.column(name))
-                for name in value.column_names
+                spec.name: _encode_strings(*value._content_view(spec.name))
+                if spec.ctype is ColumnType.CATEGORICAL
+                else encode(value.column(spec.name))
+                for spec in value.schema
             },
         }}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -124,8 +148,12 @@ def decode(payload: object) -> object:
     if isinstance(payload, dict):
         if "__tuple__" in payload:
             return tuple(decode(item) for item in payload["__tuple__"])
+        if "__strings__" in payload:
+            return _gather(*_decode_strings(payload["__strings__"]))
         if "__strarray__" in payload:
-            return np.asarray(payload["__strarray__"], dtype=object)
+            raise DataError(
+                "legacy __strarray__ envelope; the entry is recomputed"
+            )
         if "__ndarray__" in payload:
             spec = payload["__ndarray__"]
             flat = np.frombuffer(
@@ -168,6 +196,60 @@ def loads(text: str) -> object:
     return decode(json.loads(text))
 
 
+def _gather(categories: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+    """The object array of ``str`` a string-array envelope stands for."""
+    values = np.asarray(categories, dtype=object)[codes.ravel()]
+    return values.reshape(codes.shape)
+
+
+def _class_path(cls: type) -> str:
+    return f"{cls.__module__}:{cls.__qualname__}"
+
+
+def _encode_strings(categories: tuple[str, ...], codes: np.ndarray) -> dict:
+    """The string-array envelope: categories once, plus integer codes."""
+    dtype = np.min_scalar_type(max(len(categories) - 1, 0))
+    return {"__strings__": {
+        "categories": list(categories),
+        "codes": encode(codes.astype(dtype)),
+    }}
+
+
+def _decode_strings(spec: object) -> tuple[tuple[str, ...], np.ndarray]:
+    """``(categories, codes)`` of a string-array envelope, validated.
+
+    Categories must be distinct strings, each used by some code, and
+    codes integers within range — exactly what :func:`_encode_strings`
+    writes and what a table's content view holds.  Anything else raises
+    :class:`DataError` (an out-of-range code must not surface later as
+    an ``IndexError``).
+    """
+    if not isinstance(spec, dict):
+        raise DataError("malformed string-array envelope")
+    categories = spec.get("categories")
+    codes = decode(spec.get("codes"))
+    if (not isinstance(categories, list)
+            or not all(isinstance(item, str) for item in categories)
+            or len(set(categories)) != len(categories)):
+        raise DataError("string-array categories must be distinct strings")
+    if not isinstance(codes, np.ndarray) or codes.dtype.kind not in "iu":
+        raise DataError("string-array codes must be an integer array")
+    if codes.size and (codes.min() < 0 or codes.max() >= len(categories)):
+        raise DataError("string-array codes out of range")
+    codes = codes.astype(np.intp)
+    used = np.bincount(codes.ravel(), minlength=len(categories))
+    if not used.all():
+        raise DataError("string-array categories without a row")
+    codes.flags.writeable = False
+    return tuple(categories), codes
+
+
+def _gather(categories: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+    """The object array of ``str`` a string-array envelope stands for."""
+    values = np.asarray(categories, dtype=object)[codes.ravel()]
+    return values.reshape(codes.shape)
+
+
 def _class_path(cls: type) -> str:
     return f"{cls.__module__}:{cls.__qualname__}"
 
@@ -178,9 +260,12 @@ def _resolve_class(path: str) -> type:
         raise DataError(
             f"refusing to reconstruct non-repro class {path!r} from a cache"
         )
-    target = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        target = getattr(target, part)
+    try:
+        target = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            target = getattr(target, part)
+    except (ImportError, AttributeError) as error:
+        raise DataError(f"cannot resolve class {path!r}: {error}") from error
     if not isinstance(target, type):
         raise DataError(f"{path!r} is not a class")
     return target
@@ -194,34 +279,57 @@ def _decode_dataclass(spec: dict) -> object:
     init_names = {
         field.name for field in dataclasses.fields(cls) if field.init
     }
-    instance = cls(**{
-        name: value for name, value in values.items() if name in init_names
-    })
+    try:
+        instance = cls(**{
+            name: value for name, value in values.items()
+            if name in init_names
+        })
+    except ReproError as error:
+        raise DataError(
+            f"cannot rebuild {spec['class']!r}: {error}"
+        ) from error
     for name, value in values.items():
         if name not in init_names:
             object.__setattr__(instance, name, value)
     return instance
 
 
-def _is_table(value: object) -> bool:
-    from repro.data.table import Table
+def _decode_table(spec: dict) -> Table:
+    """A table from its envelope, validated against its own schema.
 
-    return isinstance(value, Table)
-
-
-def _decode_table(spec: dict):
-    from repro.data.schema import (
-        ColumnRole,
-        ColumnSpec,
-        ColumnType,
-        Schema,
+    Categorical columns must be string-array envelopes and numeric ones
+    1-D float64 arrays, every schema column present and no other, all
+    of one length.  The decoded views seed the table's content views.
+    """
+    try:
+        schema = Schema([
+            ColumnSpec(name, ColumnType(ctype), ColumnRole(role), description)
+            for name, ctype, role, description in spec["schema"]
+        ])
+    except (ReproError, TypeError, ValueError) as error:
+        raise DataError(f"malformed table schema: {error}") from error
+    payloads = spec["columns"]
+    if not isinstance(payloads, dict) or set(payloads) != set(schema.names):
+        raise DataError("table columns do not match the table's schema")
+    columns, content, lengths = {}, {}, set()
+    for column in schema:
+        payload = payloads[column.name]
+        if column.ctype is ColumnType.CATEGORICAL:
+            if not isinstance(payload, dict) or "__strings__" not in payload:
+                raise DataError(f"column {column.name!r} is not strings")
+            content[column.name] = _decode_strings(payload["__strings__"])
+            array = _gather(*content[column.name])
+        else:
+            array = decode(payload)
+            if (not isinstance(array, np.ndarray)
+                    or array.dtype != np.float64):
+                raise DataError(f"column {column.name!r} is not float64")
+        if array.ndim != 1:
+            raise DataError(f"column {column.name!r} is not 1-D")
+        columns[column.name] = array
+        lengths.add(len(array))
+    if len(lengths) > 1:
+        raise DataError(f"table columns have unequal lengths {sorted(lengths)}")
+    return Table._from_canonical(
+        schema, columns, lengths.pop() if lengths else 0, content
     )
-    from repro.data.table import Table
-
-    schema = Schema([
-        ColumnSpec(name, ColumnType(ctype), ColumnRole(role), description)
-        for name, ctype, role, description in spec["schema"]
-    ])
-    return Table(schema, {
-        name: decode(column) for name, column in spec["columns"].items()
-    })

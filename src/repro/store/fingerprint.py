@@ -107,11 +107,20 @@ def array_fingerprint(values: np.ndarray) -> str:
 def table_fingerprint(table) -> str:
     """Full-content hash of a :class:`~repro.data.table.Table`.
 
-    Unlike :func:`repro.pipeline.provenance.fingerprint_table` (which
-    samples rows so provenance stays cheap), this hashes **every byte**
-    of every column — a cache replaying results for "the same table"
-    must not collide on tables that differ outside a sample.
+    Hashes **every byte** of every column — a cache replaying results
+    for "the same table" must not collide on tables that differ
+    anywhere — and provenance records the same digest, so lineage and
+    the store name a table alike.  A categorical column's bytes are
+    rendered from the table's cached content view: its categories as
+    one fixed-width unicode array, gathered by its codes, are exactly
+    the per-row ``str()`` rendering :func:`canonical` hashes for object
+    arrays (the width is the longest category, which is the longest
+    row).  Tables are immutable, so the digest is stored on the table
+    the first time it is computed and answered from there after.
     """
+    digest = table._digest
+    if digest is not None:
+        return digest
     hasher = hashlib.sha256()
     hasher.update(repr([
         (spec.name, spec.ctype.value, spec.role.value)
@@ -119,10 +128,15 @@ def table_fingerprint(table) -> str:
     ]).encode())
     hasher.update(str(table.n_rows).encode())
     for name in table.column_names:
-        dtype, data = _array_content(table.column(name))
+        values = table.column(name)
+        if values.dtype == object:
+            categories, codes = table._content_view(name)
+            values = np.asarray(categories, dtype="U")[codes]
+        dtype, data = _array_content(values)
         hasher.update(dtype.encode())
         hasher.update(data)
-    return hasher.hexdigest()[:DIGEST_CHARS]
+    digest = table._digest = hasher.hexdigest()[:DIGEST_CHARS]
+    return digest
 
 
 def dataset_fingerprint(dataset) -> str:

@@ -28,6 +28,7 @@ configured.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable
 
@@ -40,6 +41,17 @@ from repro.store.backend import JsonDirBackend, MemoryBackend
 from repro.store.fingerprint import fingerprint, hash_bytes
 
 _MISS = object()
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _field_key(key: str, name: str) -> str:
+    """The store key of one spilled field, derived once per (key, field).
+
+    A warm re-audit probes every field of every shard on every run; the
+    keys are a pure function of the node key and the field name, so a
+    bounded cache answers them instead of re-hashing.
+    """
+    return hash_bytes(f"{key}\x1f{name}".encode("utf-8"))
 
 
 class Spilled:
@@ -77,7 +89,7 @@ class Spilled:
 
     def field_key(self, name: str) -> str:
         """The store key of field ``name``'s entry."""
-        return hash_bytes(f"{self.key}\x1f{name}".encode("utf-8"))
+        return _field_key(self.key, name)
 
     def commit(self, value: dict, tags: tuple[str, ...]) -> None:
         """Put each field of ``value`` as its own entry, with ``tags``."""

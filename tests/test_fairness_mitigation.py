@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.data.schema import ColumnRole, numeric
 from repro.exceptions import FairnessError, NotFittedError
 from repro.fairness.inprocessing import (
     ExponentiatedGradientReducer,
@@ -86,6 +87,36 @@ def test_reweighing_golden(name):
     weights = _reweighing_case(name)
     digest = hashlib.sha256(weights.tobytes()).hexdigest()[:24]
     assert digest == REWEIGHING_GOLDEN[name]
+
+
+def test_reweighing_rejects_nan_labels():
+    # A NaN label matches no (group, label) cell; its row used to keep
+    # whatever memory np.empty handed out.
+    y = np.array([0.0, 1.0, np.nan, 1.0, 0.0, 1.0])
+    group = np.array(["a", "a", "b", "b", "a", "b"], dtype=object)
+    with pytest.raises(FairnessError, match="NaN"):
+        reweighing_weights(y, group)
+    from repro.data.schema import Schema, categorical, numeric
+    from repro.data.table import Table
+
+    table = Table(Schema([
+        categorical("g", role=ColumnRole.SENSITIVE),
+        numeric("y", role=ColumnRole.TARGET),
+    ]), {"g": group, "y": y})
+    with pytest.raises(FairnessError, match="NaN"):
+        reweigh(table)
+
+
+def test_reweigh_from_the_view_equals_the_array_path(census_tables):
+    train, _ = census_tables
+    numeric_group = train.with_column(
+        numeric("sex", role=ColumnRole.SENSITIVE),
+        (train.column("sex") == "female").astype(float))
+    for table in (train, numeric_group):
+        np.testing.assert_array_equal(
+            reweigh(table),
+            reweighing_weights(table.target(), table.sensitive()),
+        )
 
 
 def test_reweigh_improves_disparate_impact(credit_tables):

@@ -19,8 +19,8 @@ from repro.pipeline import (
     ReweighStage,
     TrainStage,
     ValidateSchemaStage,
-    fingerprint_table,
 )
+from repro.store import table_fingerprint
 
 
 def standard_pipeline(provenance="fingerprint"):
@@ -37,8 +37,8 @@ def standard_pipeline(provenance="fingerprint"):
 
 def test_fingerprint_is_content_sensitive(credit_tables):
     train, test = credit_tables
-    assert fingerprint_table(train) == fingerprint_table(train)
-    assert fingerprint_table(train) != fingerprint_table(test)
+    assert table_fingerprint(train) == table_fingerprint(train)
+    assert table_fingerprint(train) != table_fingerprint(test)
 
 
 def test_fingerprint_detects_single_value_change(small_table):
@@ -46,7 +46,32 @@ def test_fingerprint_detects_single_value_change(small_table):
         small_table.schema["income"],
         [10.0, 20.0, 30.0, 40.0, 50.0, 61.0],
     )
-    assert fingerprint_table(small_table) != fingerprint_table(modified)
+    assert table_fingerprint(small_table) != table_fingerprint(modified)
+
+
+def test_artifacts_differ_outside_any_row_sample(census_tables):
+    # A 64-row sample of the 1,200-row table reads every 18th row (0,
+    # 18, 36, …); rows 1 and 2 lie outside it, and editing either must
+    # still give a different artefact.
+    table, _ = census_tables
+    hours = np.array(table.column("hours_per_week"))
+    hours[1] += 1.0
+    edited = table.with_column(table.schema["hours_per_week"], hours)
+    zipcodes = np.array(table.column("zipcode"))
+    zipcodes[2] = zipcodes[2] + "x"
+    renamed = table.with_column(table.schema["zipcode"], zipcodes)
+    graph = ProvenanceGraph()
+    fingerprints = {
+        graph.add_table(candidate).fingerprint
+        for candidate in (table, edited, renamed)
+    }
+    assert len(fingerprints) == 3
+
+
+def test_final_artifact_names_the_table_like_the_store(credit_tables, rng):
+    train, _ = credit_tables
+    result = standard_pipeline("fingerprint").run(train, rng)
+    assert result.final_artifact.fingerprint == table_fingerprint(result.table)
 
 
 def test_provenance_lineage(small_table):

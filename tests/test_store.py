@@ -17,13 +17,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.accuracy.bootstrap import IntervalEstimate, bootstrap_ci
 from repro.core.auditor import FACTAuditor
 from repro.core.report import FACTReport
 from repro.core.scorecard import GreenScorecard, build_scorecard
+from repro.data.schema import ColumnRole, Schema, categorical, numeric
 from repro.data.synth import CreditScoringGenerator
+from repro.data.table import Table
 from repro.exceptions import DataError
 from repro.fairness.report import FairnessReport, audit_model
 from repro.learn.linear import LogisticRegression
@@ -210,6 +214,148 @@ def test_codec_only_reconstructs_repro_classes():
     })
     with pytest.raises(DataError):
         codec.loads(payload)
+
+
+def test_string_arrays_travel_as_categories_and_codes(small_table):
+    envelope = codec.encode(small_table)["__table__"]["columns"]["city"]
+    assert envelope["__strings__"]["categories"] == ["north", "south"]
+    assert envelope["__strings__"]["codes"]["__ndarray__"]["dtype"] == "uint8"
+    assert "__strarray__" not in codec.dumps(small_table)
+    many = np.array([f"v{i}" for i in range(300)] * 2, dtype=object)
+    codes = codec.encode(many)["__strings__"]["codes"]["__ndarray__"]
+    assert codes["dtype"] == "uint16"
+    for array in (many, np.array([["a", ""], ["é", "a"]], dtype=object),
+                  np.empty((0, 3), dtype=object),
+                  np.array("日本語", dtype=object)):
+        restored = codec.loads(codec.dumps(array))
+        assert restored.dtype == object and restored.shape == array.shape
+        assert [type(item) for item in restored.ravel().tolist()] == (
+            [str] * array.size)
+        assert restored.tolist() == array.tolist()
+
+
+def test_decoded_tables_carry_views_but_no_digest(small_table):
+    digest = table_fingerprint(small_table)
+    restored = codec.loads(codec.dumps(small_table))
+    assert restored._digest is None
+    assert sorted(restored._content) == ["city", "group", "ssn"]
+    assert restored._content["city"][0] == ("north", "south")
+    assert table_fingerprint(restored) == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_codec_round_trips_random_tables(data):
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+    n_rows = data.draw(st.integers(0, 12))
+    strings = data.draw(st.lists(st.sampled_from(["", "é", "日本語", "a"])
+                                 | text, min_size=n_rows, max_size=n_rows))
+    floats = data.draw(st.lists(
+        st.sampled_from([np.nan, -0.0, 0.0, np.inf]) | st.floats(),
+        min_size=n_rows, max_size=n_rows))
+    table = Table(Schema([
+        categorical("s", role=ColumnRole.SENSITIVE), numeric("x"),
+    ]), {"s": strings, "x": floats})
+    restored = codec.loads(codec.dumps(table))
+    assert restored.schema == table.schema and restored.n_rows == n_rows
+    assert restored.column("x").dtype == np.float64
+    assert restored.column("x").tobytes() == table.column("x").tobytes()
+    assert restored.column("s").dtype == object
+    assert restored.column("s").tolist() == strings
+    assert all(type(item) is str for item in restored.column("s").tolist())
+    assert table_fingerprint(restored) == table_fingerprint(table)
+
+
+def _table_columns(envelope):
+    return envelope["value"]["table"]["__table__"]["columns"]
+
+
+def _codes(envelope, name="city"):
+    return _table_columns(envelope)[name]["__strings__"]["codes"][
+        "__ndarray__"]
+
+
+def _drop_column(envelope):
+    del _table_columns(envelope)["city"]
+
+
+def _missing_attribute(envelope):
+    envelope["value"]["interval"]["__dataclass__"]["class"] = (
+        "repro.accuracy.bootstrap:NoSuchEstimate")
+
+
+def _missing_module(envelope):
+    envelope["value"]["interval"]["__dataclass__"]["class"] = (
+        "repro.no_such_module:IntervalEstimate")
+
+
+def _out_of_range_code(envelope):
+    _codes(envelope)["data"] = "02" + _codes(envelope)["data"][2:]
+
+
+def _negative_code(envelope):
+    _codes(envelope)["dtype"] = "int8"
+    _codes(envelope)["data"] = "ff" + _codes(envelope)["data"][2:]
+
+
+def _non_string_category(envelope):
+    _table_columns(envelope)["city"]["__strings__"]["categories"][0] = 5
+
+
+def _invalid_hex(envelope):
+    _codes(envelope)["data"] = "zz" + _codes(envelope)["data"][2:]
+
+
+def _float_codes(envelope):
+    _codes(envelope)["dtype"] = "float64"
+    _codes(envelope)["data"] = np.zeros(6).tobytes().hex()
+
+
+def _ragged_columns(envelope):
+    income = _table_columns(envelope)["income"]["__ndarray__"]
+    income["shape"] = [5]
+    income["data"] = income["data"][:5 * 16]
+
+
+def _legacy_strarray(envelope):
+    _table_columns(envelope)["city"] = {"__strarray__": [
+        "north", "north", "south", "south", "north", "south"]}
+
+
+@pytest.mark.parametrize("tamper", [
+    _drop_column, _missing_attribute, _missing_module, _out_of_range_code,
+    _negative_code, _non_string_category, _invalid_hex, _float_codes,
+    _ragged_columns, _legacy_strarray,
+], ids=lambda tamper: tamper.__name__.lstrip("_"))
+def test_tampered_entries_are_counted_misses(tmp_path, small_table, tamper):
+    # Every undecodable entry counts one corruption, is deleted and
+    # recomputes the original value; it never raises and never replays
+    # a plain dict where a table or a dataclass was stored.
+    interval = IntervalEstimate(
+        estimate=0.5, lower=0.25, upper=0.75, confidence=0.95, n_resamples=9
+    )
+    store = ArtifactStore.on_disk(str(tmp_path / "cache"))
+    calls = {"n": 0}
+
+    def compute():
+        calls["n"] += 1
+        return {"table": small_table, "interval": interval}
+
+    store.memoize({"stage": "tamper"}, compute)
+    (entry,) = list(tmp_path.glob("cache/*.json"))
+    envelope = json.loads(entry.read_text())
+    tamper(envelope)
+    entry.write_text(json.dumps(envelope))
+    replay = store.memoize({"stage": "tamper"}, compute)
+    assert calls["n"] == 2
+    assert store.corruptions == 1
+    assert replay["interval"] == interval
+    assert isinstance(replay["table"], Table)
+    assert replay["table"] == small_table
+    # The recomputed entry replaced the tampered one and replays.
+    again = store.memoize({"stage": "tamper"}, compute)
+    assert calls["n"] == 2 and store.corruptions == 1
+    assert table_fingerprint(again["table"]) == table_fingerprint(small_table)
 
 
 # -- backends ---------------------------------------------------------------------

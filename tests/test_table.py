@@ -201,3 +201,69 @@ def test_row_subsets_still_copy(small_table):
     for subset in (taken, filtered):
         assert not np.shares_memory(subset.column("income"),
                                     small_table.column("income"))
+
+
+def test_table_owns_its_numeric_buffers():
+    # A caller's float64 array is copied on construction: writing to it
+    # afterwards changes neither the table nor its cached fingerprint.
+    from repro.store import table_fingerprint
+
+    source = np.array([1.0, 2.0, 3.0])
+    table = Table(Schema([numeric("x")]), {"x": source})
+    digest = table_fingerprint(table)
+    source[0] = 99.0
+    assert table.column("x").tolist() == [1.0, 2.0, 3.0]
+    assert table_fingerprint(table) == digest
+    fresh = Table(Schema([numeric("x")]), {"x": [1.0, 2.0, 3.0]})
+    assert table_fingerprint(fresh) == digest
+    added = table.with_column(numeric("y"), source)
+    source[1] = -1.0
+    assert added.column("y").tolist() == [99.0, 2.0, 3.0]
+
+
+def test_content_view_is_first_appearance_categories_and_codes(small_table):
+    categories, codes = small_table._content_view("city")
+    assert categories == ("north", "south")
+    assert codes.tolist() == [0, 0, 1, 1, 0, 1]
+    assert not codes.flags.writeable
+    assert small_table._content_view("city") is small_table._content_view(
+        "city")
+    with pytest.raises(SchemaError):
+        small_table._content_view("income")
+
+
+def test_buffer_sharing_derivations_inherit_content_views(small_table):
+    from repro.data.schema import categorical
+    from repro.store import table_fingerprint
+
+    table_fingerprint(small_table)  # builds every categorical view
+    views = {name: small_table._content_view(name)
+             for name in ("city", "group", "ssn")}
+    derived = {
+        "select": small_table.select(["group", "income", "city"]),
+        "drop": small_table.drop(["ssn"]),
+        "with_role": small_table.with_role("city", ColumnRole.FEATURE),
+        "with_column": small_table.with_column(numeric("score"), np.ones(6)),
+        "replace": small_table.with_column(
+            categorical("group", role=ColumnRole.SENSITIVE),
+            ["x", "y", "x", "y", "x", "y"]),
+    }
+    for label, table in derived.items():
+        assert table._digest is None, label
+        for name, view in views.items():
+            if name in table and not (label == "replace" and name == "group"):
+                assert table._content[name] is view, (label, name)
+    assert "group" not in derived["replace"]._content
+    renamed = small_table.rename({"city": "town"})
+    assert renamed._content["town"] is views["city"]
+    assert renamed._digest is None
+
+
+def test_row_operations_start_without_views(small_table):
+    from repro.store import table_fingerprint
+
+    table_fingerprint(small_table)
+    for subset in (small_table.take([0, 2]), small_table.filter([True] * 6),
+                   small_table.slice(0, 6),
+                   Table.concat([small_table, small_table])):
+        assert subset._content == {} and subset._digest is None
