@@ -79,6 +79,7 @@ def _categorize(items: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
 def _sorted_codes(uniques: np.ndarray, codes: np.ndarray,
                   missing: np.ndarray) -> tuple:
+    """Both factorizations' tail: ``-1`` for missing rows, stable order."""
     codes = codes.astype(np.int64)
     codes[missing] = -1
     order = np.argsort(codes, kind="stable")

@@ -196,16 +196,6 @@ def loads(text: str) -> object:
     return decode(json.loads(text))
 
 
-def _gather(categories: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
-    """The object array of ``str`` a string-array envelope stands for."""
-    values = np.asarray(categories, dtype=object)[codes.ravel()]
-    return values.reshape(codes.shape)
-
-
-def _class_path(cls: type) -> str:
-    return f"{cls.__module__}:{cls.__qualname__}"
-
-
 def _encode_strings(categories: tuple[str, ...], codes: np.ndarray) -> dict:
     """The string-array envelope: categories once, plus integer codes."""
     dtype = np.min_scalar_type(max(len(categories) - 1, 0))
