@@ -192,8 +192,17 @@ def dumps(value: object) -> str:
 
 
 def loads(text: str) -> object:
-    """Decode canonical JSON text back to the original value."""
-    return decode(json.loads(text))
+    """Decode canonical JSON text back to the original value.
+
+    Text that is not a well-formed encoding — truncated JSON, an
+    envelope with missing or mistyped parts — raises :class:`DataError`,
+    whatever the structural error it tripped.
+    """
+    try:
+        return decode(json.loads(text))
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as error:
+        raise DataError(f"undecodable entry: {error!r}") from error
 
 
 def _encode_strings(categories: tuple[str, ...], codes: np.ndarray) -> dict:

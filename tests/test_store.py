@@ -317,6 +317,14 @@ def _ragged_columns(envelope):
     income["data"] = income["data"][:5 * 16]
 
 
+def _empty_scalar(envelope):
+    envelope["value"]["scalar"]["__npscalar__"]["data"] = ""
+
+
+def _fields_not_a_mapping(envelope):
+    envelope["value"]["interval"]["__dataclass__"]["fields"] = []
+
+
 def _legacy_strarray(envelope):
     _table_columns(envelope)["city"] = {"__strarray__": [
         "north", "north", "south", "south", "north", "south"]}
@@ -325,7 +333,7 @@ def _legacy_strarray(envelope):
 @pytest.mark.parametrize("tamper", [
     _drop_column, _missing_attribute, _missing_module, _out_of_range_code,
     _negative_code, _non_string_category, _invalid_hex, _float_codes,
-    _ragged_columns, _legacy_strarray,
+    _ragged_columns, _empty_scalar, _fields_not_a_mapping, _legacy_strarray,
 ], ids=lambda tamper: tamper.__name__.lstrip("_"))
 def test_tampered_entries_are_counted_misses(tmp_path, small_table, tamper):
     # Every undecodable entry counts one corruption, is deleted and
@@ -339,7 +347,8 @@ def test_tampered_entries_are_counted_misses(tmp_path, small_table, tamper):
 
     def compute():
         calls["n"] += 1
-        return {"table": small_table, "interval": interval}
+        return {"table": small_table, "interval": interval,
+                "scalar": np.float32(0.5)}
 
     store.memoize({"stage": "tamper"}, compute)
     (entry,) = list(tmp_path.glob("cache/*.json"))
@@ -350,6 +359,7 @@ def test_tampered_entries_are_counted_misses(tmp_path, small_table, tamper):
     assert calls["n"] == 2
     assert store.corruptions == 1
     assert replay["interval"] == interval
+    assert replay["scalar"] == 0.5 and isinstance(replay["scalar"], np.float32)
     assert isinstance(replay["table"], Table)
     assert replay["table"] == small_table
     # The recomputed entry replaced the tampered one and replays.

@@ -267,3 +267,50 @@ def test_row_operations_start_without_views(small_table):
                    small_table.slice(0, 6),
                    Table.concat([small_table, small_table])):
         assert subset._content == {} and subset._digest is None
+
+
+def test_concurrent_first_use_of_the_caches_agrees():
+    # Views and the digest are built lazily without a lock: threads that
+    # race to build them may each build one, and every result must still
+    # be the one a single thread computes.
+    import sys
+    import threading
+
+    from repro.data.synth import CensusIncomeGenerator
+    from repro.store import codec, table_fingerprint
+
+    def fresh():
+        return CensusIncomeGenerator().generate(
+            3_000, np.random.default_rng(3))
+
+    expected = (table_fingerprint(fresh()),
+                fresh()._factorized("zipcode")[1].tobytes(),
+                codec.dumps(fresh()))
+    results, errors = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            table = fresh()
+            barrier = threading.Barrier(8)
+
+            def work(table=table, barrier=barrier):
+                try:
+                    barrier.wait(timeout=10)
+                    results.append((table_fingerprint(table),
+                                    table._factorized("zipcode")[1].tobytes(),
+                                    codec.dumps(table)))
+                except Exception as error:  # reported below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(results) == 24
+    assert all(result == expected for result in results)
