@@ -63,16 +63,23 @@ def _infer_ctype(values: Sequence | np.ndarray) -> ColumnType:
     return ColumnType.CATEGORICAL
 
 
+def _code_dtype(n_categories: int) -> np.dtype:
+    """The smallest unsigned dtype that indexes ``n_categories``."""
+    return np.min_scalar_type(max(n_categories - 1, 0))
+
+
 def _categorize(items: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """``(categories, codes)`` of string ``items`` in one dict pass.
 
     ``categories`` are the distinct items in first-appearance order and
-    ``codes`` (read-only ``intp``) index each item into them.
+    ``codes`` index each item into them, read-only and in the smallest
+    unsigned dtype that fits (one byte per row for up to 256 distinct
+    values), since a table keeps its views as long as it lives.
     """
     index: dict[str, int] = {}
     add = index.setdefault
     codes = np.array([add(item, len(index)) for item in items],
-                     dtype=np.intp)
+                     dtype=np.intp).astype(_code_dtype(len(index)))
     codes.flags.writeable = False
     return tuple(index), codes
 
@@ -263,8 +270,9 @@ class Table:
         """The cached ``(categories, codes)`` view of a categorical column.
 
         ``categories`` are the column's distinct strings in
-        first-appearance order and ``codes`` (read-only ``intp``) index
-        each row into them, so ``categories[codes[i]]`` is row ``i``.
+        first-appearance order and ``codes`` (read-only, smallest
+        unsigned dtype) index each row into them, so
+        ``categories[codes[i]]`` is row ``i``.
         Built in one dict pass on first use, inherited by derived tables
         that share the column, and seeded by the store codec on decode.
         """

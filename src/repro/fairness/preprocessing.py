@@ -54,6 +54,7 @@ def _cell_weights(y_true: np.ndarray, codes: np.ndarray,
             "every reweighed row needs a label"
         )
     n = len(y_true)
+    codes = codes.astype(np.intp)
     labels, label_codes = np.unique(y_true, return_inverse=True)
     joint = np.bincount(
         codes * len(labels) + label_codes, minlength=n_groups * len(labels)

@@ -13,7 +13,8 @@ envelopes and :func:`decode` restores them precisely:
 * string arrays (object arrays of ``str``, which is how tables store
   categoricals) carry their distinct strings once, as ``categories``,
   plus an integer array of ``codes`` in the smallest unsigned dtype
-  that indexes them — a 20,000-row census column with 40 distinct
+  that indexes them (the table's own content view, as it holds
+  it) — a 20,000-row census column with 40 distinct
   values is 40 strings and 20,000 one-byte codes, not 20,000 strings;
 * dataclasses carry their import path and field values, and are
   reconstructed through the class itself — restricted to classes
@@ -46,7 +47,7 @@ import json
 import numpy as np
 
 from repro.data.schema import ColumnRole, ColumnSpec, ColumnType, Schema
-from repro.data.table import Table, _categorize
+from repro.data.table import Table, _categorize, _code_dtype
 from repro.exceptions import DataError, ReproError
 
 #: Envelope tags: a dict holding any of these keys is an envelope, so
@@ -207,10 +208,9 @@ def loads(text: str) -> object:
 
 def _encode_strings(categories: tuple[str, ...], codes: np.ndarray) -> dict:
     """The string-array envelope: categories once, plus integer codes."""
-    dtype = np.min_scalar_type(max(len(categories) - 1, 0))
     return {"__strings__": {
         "categories": list(categories),
-        "codes": encode(codes.astype(dtype)),
+        "codes": encode(codes),
     }}
 
 
@@ -235,7 +235,7 @@ def _decode_strings(spec: object) -> tuple[tuple[str, ...], np.ndarray]:
         raise DataError("string-array codes must be an integer array")
     if codes.size and (codes.min() < 0 or codes.max() >= len(categories)):
         raise DataError("string-array codes out of range")
-    codes = codes.astype(np.intp)
+    codes = codes.astype(_code_dtype(len(categories)), copy=False)
     used = np.bincount(codes.ravel(), minlength=len(categories))
     if not used.all():
         raise DataError("string-array categories without a row")
