@@ -161,7 +161,8 @@ def test_a3_provenance_granularity(benchmark):
         rows,
     ))
     for row in rows:
-        # Fingerprinting samples a fixed number of rows per table, so its
+        # Fingerprints hash every byte of each table, linear in rows like
+        # the stages themselves, and each table caches its digest, so the
         # overhead factor stays a small constant as the data grows.
         assert row[4] < 5.0
     # And the factor does not blow up with scale: the largest stream's
