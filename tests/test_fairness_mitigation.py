@@ -107,6 +107,17 @@ def test_reweighing_rejects_nan_labels():
         reweigh(table)
 
 
+def test_reweighing_gives_trailing_nul_groups_their_cell():
+    # A group mask ``group == "a\x00"`` selects nothing (numpy compares
+    # the object array to "a"), so per-cell masks left those rows
+    # unweighted; grouping by codes weighs them like any other group.
+    y = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+    renamed = reweighing_weights(
+        y, np.array(["c", "c", "c", "b", "b", "b"], dtype=object))
+    np.testing.assert_array_equal(reweighing_weights(
+        y, np.array(["a\x00"] * 3 + ["b"] * 3, dtype=object)), renamed)
+
+
 def test_reweigh_from_the_view_equals_the_array_path(census_tables):
     train, _ = census_tables
     numeric_group = train.with_column(

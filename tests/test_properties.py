@@ -188,3 +188,43 @@ def test_table_shuffle_is_permutation(table, seed):
     shuffled = table.shuffle(rng)
     assert sorted(shuffled["x"].tolist()) == sorted(table["x"].tolist())
     assert shuffled.value_counts("c") == table.value_counts("c")
+
+
+def _reference_reweighing(y_true: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The per-cell mask loop the one-pass count replaced."""
+    n = len(y_true)
+    weights = np.full(n, np.nan)
+    for g in np.unique(group):
+        for label in np.unique(y_true):
+            mask = (group == g) & (y_true == label)
+            joint = mask.sum() / n
+            if joint == 0.0:
+                continue
+            marginal = ((group == g).sum() / n) * ((y_true == label).sum() / n)
+            weights[mask] = marginal / joint
+    return weights
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_reweighing_equals_the_per_cell_reference(data):
+    from repro.data.schema import ColumnRole, Schema, categorical, numeric
+    from repro.fairness.preprocessing import reweigh
+
+    n_rows = data.draw(st.integers(1, 30))
+    y_true = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 1.0, 2.0, -0.0]), min_size=n_rows,
+        max_size=n_rows)))
+    # No trailing-NUL strings here: numpy compares an object array to
+    # "a\x00" as to "a", so the reference's masks never select those rows
+    # (see test_reweighing_gives_trailing_nul_groups_their_cell).
+    group = np.array(data.draw(st.lists(
+        st.sampled_from(["", "a", "b", "é", "\x00a"]), min_size=n_rows,
+        max_size=n_rows)), dtype=object)
+    expected = _reference_reweighing(y_true, group).tobytes()
+    assert reweighing_weights(y_true, group).tobytes() == expected
+    table = Table(Schema([
+        categorical("g", role=ColumnRole.SENSITIVE),
+        numeric("y", role=ColumnRole.TARGET),
+    ]), {"g": group, "y": y_true})
+    assert reweigh(table).tobytes() == expected

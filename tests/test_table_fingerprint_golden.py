@@ -13,12 +13,17 @@ and inf, a codec round trip, ``dataset_fingerprint``,
 ``object_fingerprint`` of a fitted model, ``canonical()`` of a mixed
 object array, and the sorted factorization ``Table._factorized``
 returns.
+
+The property at the end keeps the per-element rendering and the
+string sort in this file as the reference.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.schema import (
     ColumnRole,
@@ -38,6 +43,7 @@ from repro.store import (
     object_fingerprint,
     table_fingerprint,
 )
+from repro.store.fingerprint import DIGEST_CHARS
 
 GOLDEN = {
     "canonical.mixed_object_array": "0a690d8c1a05f066d3968472",
@@ -229,3 +235,60 @@ def test_golden_on_warm_tables(name):
             table._factorized(spec.name)
     CASES[name](census, edge)
     assert CASES[name](census, edge) == GOLDEN[name]
+
+
+def _reference_fingerprint(table: Table) -> str:
+    """Every object column rendered row by row through ``str()``."""
+    hasher = hashlib.sha256()
+    hasher.update(repr([(spec.name, spec.ctype.value, spec.role.value)
+                        for spec in table.schema]).encode())
+    hasher.update(str(table.n_rows).encode())
+    for name in table.column_names:
+        values = np.ascontiguousarray(table.column(name))
+        if values.dtype == object:
+            values = np.asarray([str(item) for item in values], dtype="U")
+        hasher.update(str(values.dtype).encode())
+        hasher.update(values.tobytes())
+    return hasher.hexdigest()[:DIGEST_CHARS]
+
+
+def _reference_factorization(values: np.ndarray) -> tuple:
+    """The sort over the rendered rows that ``_factorized`` replaced."""
+    safe = values.astype("U")
+    uniques, codes = np.unique(safe, return_inverse=True)
+    codes = codes.astype(np.int64)
+    codes[safe == ""] = -1
+    return uniques, codes, int((safe == "").sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_views_render_the_reference_bytes(data):
+    n_rows = data.draw(st.integers(0, 12))
+    strings = st.text(max_size=6) | st.sampled_from(["", "a", "a\x00", "é"])
+    table = Table(Schema([
+        categorical("s"), numeric("x"),
+        categorical("g", role=ColumnRole.SENSITIVE),
+    ]), {
+        "s": data.draw(st.lists(strings, min_size=n_rows, max_size=n_rows)),
+        "x": data.draw(st.lists(st.floats(), min_size=n_rows,
+                                max_size=n_rows)),
+        "g": data.draw(st.lists(st.sampled_from(["", "x", "yy"]),
+                                min_size=n_rows, max_size=n_rows)),
+    })
+    rows = data.draw(st.lists(st.integers(0, max(n_rows - 1, 0)),
+                              max_size=8)) if n_rows else []
+    restored = codec.loads(codec.dumps(table))
+    for candidate in (table, restored, table.take(rows),
+                      table.select(["g", "s"]), restored.slice(0, n_rows // 2),
+                      Table.concat([table, restored])):
+        assert table_fingerprint(candidate) == _reference_fingerprint(
+            candidate)
+    for name in ("s", "g"):
+        uniques, codes, _, n_missing = table._factorized(name)
+        ref_uniques, ref_codes, ref_missing = _reference_factorization(
+            table.column(name))
+        assert uniques.dtype == ref_uniques.dtype
+        assert uniques.tobytes() == ref_uniques.tobytes()
+        assert codes.tolist() == ref_codes.tolist()
+        assert n_missing == ref_missing
