@@ -15,11 +15,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.data.synth.census import CensusIncomeGenerator
 from repro.learn.boosting import GradientBoostingClassifier
 from repro.learn.forest import RandomForestClassifier
+from repro.learn.linear import LogisticRegression
 from repro.learn.mlp import MLPClassifier
 from repro.learn.neighbors import KNeighborsClassifier, nearest_indices
+from repro.learn.preprocessing import FeatureEncoder
 from repro.learn.tree import DecisionTreeClassifier
+from repro.transparency.surrogate import fit_surrogate
 
 GOLDEN = {
     "tree_state": "6c7d61018ce3f859",
@@ -34,6 +38,20 @@ GOLDEN = {
     "knn_indices": "b0ebfc15deef8650",
     "mlp_state": "c52557dfd7dca72c",
     "mlp_proba": "2088ab6ee9ae5ef6",
+}
+
+#: Tie-heavy pins on the census encoder's matrix, where most boundaries
+#: of the one-hot and zero-inflated columns are ties.
+TIED_GOLDEN = {
+    "surrogate_state": "aea367f79a82ea07",
+    "surrogate_fidelity": "a7da6bb80b0f89f7",
+    "zero_weighted_tree_state": "cd7dda452676f453",
+    "subsampled_tied_tree_state": "c645665fe4782b0e",
+    "impurity_floor_tree_state": "a788bd488f1eb70d",
+    "tied_forest_state": "9ee508de445e0b07",
+    "tied_forest_proba": "7317f8ff366bf3b5",
+    "tied_boost_state": "edfe91fdd64d9ba9",
+    "tied_boost_proba": "f4e91952b2f515e4",
 }
 
 
@@ -122,3 +140,76 @@ def test_mlp_fitted_state_and_predictions(data):
     )
     assert digest(*mlp._weights, *mlp._biases) == GOLDEN["mlp_state"]
     assert digest(mlp.predict_proba(X_test)) == GOLDEN["mlp_proba"]
+
+
+@pytest.fixture(scope="module")
+def census():
+    """The census encoder's matrix plus one few-level column.
+
+    The encoder gives two continuous columns, the zero-inflated
+    ``capital_gain`` and five one-hot ``education=`` columns; the extra
+    column rounds ``hours_per_week``'s standard scores, so it has a few
+    levels and both signs of zero.
+    """
+    rng = np.random.default_rng(20190630)
+    table = CensusIncomeGenerator(sex_gap=0.5).generate(3000, rng)
+    encoder = FeatureEncoder()
+    X = encoder.fit_transform(table)
+    y = table.column("high_income").astype(np.float64)
+    X_tied = np.column_stack([X, np.round(X[:, 1])])
+    box = LogisticRegression().fit(X, y)
+    w = rng.uniform(0.2, 3.0, len(y))
+    w[rng.random(len(y)) < 0.2] = 0.0
+    return X, X_tied, y, w, box
+
+
+def test_census_surrogate_state_and_fidelity(census):
+    X, _, _, _, box = census
+    result = fit_surrogate(box, X, max_depth=4, min_samples_leaf=10)
+    assert digest(*tree_state(result.tree)) == TIED_GOLDEN["surrogate_state"]
+    fidelity = np.array([result.fidelity, result.fidelity_proba_mae])
+    assert digest(fidelity) == TIED_GOLDEN["surrogate_fidelity"]
+
+
+def test_zero_weighted_tied_tree_state(census):
+    _, X, y, w, _ = census
+    tree = DecisionTreeClassifier(max_depth=7, min_samples_leaf=3).fit(
+        X, y, sample_weight=w
+    )
+    assert digest(*tree_state(tree)) == TIED_GOLDEN["zero_weighted_tree_state"]
+
+
+def test_subsampled_tied_tree_state(census):
+    _, X, y, w, _ = census
+    tree = DecisionTreeClassifier(
+        max_depth=6, min_samples_leaf=2, max_features=3,
+        rng=np.random.default_rng(5),
+    ).fit(X, y, sample_weight=w)
+    assert digest(*tree_state(tree)) == TIED_GOLDEN["subsampled_tied_tree_state"]
+
+
+def test_impurity_floor_tied_tree_state(census):
+    _, X, y, _, _ = census
+    tree = DecisionTreeClassifier(
+        max_depth=8, min_samples_leaf=1, min_impurity_decrease=0.002
+    ).fit(X, y)
+    assert digest(*tree_state(tree)) == TIED_GOLDEN["impurity_floor_tree_state"]
+
+
+def test_tied_forest_state_and_predictions(census):
+    _, X, y, _, _ = census
+    forest = RandomForestClassifier(n_trees=6, max_depth=6, seed=2).fit(X, y)
+    state = [a for t in forest._trees for a in tree_state(t)]
+    assert digest(*state) == TIED_GOLDEN["tied_forest_state"]
+    assert digest(forest.predict_proba(X)) == TIED_GOLDEN["tied_forest_proba"]
+
+
+def test_tied_boosting_state_and_predictions(census):
+    _, X, y, w, _ = census
+    boost = GradientBoostingClassifier(
+        n_stages=8, max_depth=3, subsample=0.8, seed=4
+    ).fit(X, y, sample_weight=w)
+    state = [a for t in boost._trees for a in tree_state(t)]
+    assert (digest(np.array([boost._base_score]), *state)
+            == TIED_GOLDEN["tied_boost_state"])
+    assert digest(boost.predict_proba(X)) == TIED_GOLDEN["tied_boost_proba"]
