@@ -153,7 +153,10 @@ class _AUCResampler:
     the loop's value for that run.  Midranks are multiples of 0.5 and
     the positive-rank sum is at most n(n+1)/2, so for fewer than ~6.7e7
     rows every partial sum is exact and the result is bit-identical to
-    ``roc_auc`` on the resample.
+    ``roc_auc`` on the resample, whatever the summation order.  The sum
+    is therefore an elementwise product and a plain reduction, not a
+    BLAS dot product, whose threads and per-process set-up cost far more
+    than the arithmetic.
     """
 
     __slots__ = ("order", "positive", "starts")
@@ -173,7 +176,7 @@ class _AUCResampler:
         if n_pos == 0 or n_neg == 0:
             return float("nan")
         midranks = 0.5 * (2 * np.cumsum(counts) - counts - 1) + 1.0
-        positive_rank_sum = midranks @ positives
+        positive_rank_sum = np.add.reduce(midranks * positives)
         return float(
             (positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         )

@@ -184,16 +184,21 @@ class DecisionTreeClassifier(Classifier):
         # a *different* subset at every node while staying deterministic.
         self._feature_rng = (self.rng if self.rng is not None
                              else np.random.default_rng(0))
-        # Pre-sort every feature once; nodes partition this matrix
+        # Feature-major copy, pre-sorted once: row f of ``presorted``
+        # orders the rows by feature f, and nodes partition this matrix
         # instead of re-argsorting their rows at every candidate split.
-        presorted = np.argsort(X, axis=0, kind="stable")
-        self._grow(X, y, weights, np.arange(len(y)), presorted, depth=0)
+        columns = np.ascontiguousarray(X.T)
+        presorted = np.argsort(columns, axis=1, kind="stable")
+        positive = weights * (y == 1.0)
+        self._grow(columns, y, weights, positive, np.arange(len(y)),
+                   presorted, depth=0)
         self._refresh_arrays()
         self._mark_fitted()
         return self
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, weights: np.ndarray,
-              indices: np.ndarray, presorted: np.ndarray, depth: int) -> int:
+    def _grow(self, columns: np.ndarray, y: np.ndarray, weights: np.ndarray,
+              positive: np.ndarray, indices: np.ndarray,
+              presorted: np.ndarray, depth: int) -> int:
         node_index = len(self._nodes)
         w = weights[indices]
         total = w.sum()
@@ -205,27 +210,31 @@ class DecisionTreeClassifier(Classifier):
         if (depth >= self.max_depth or len(indices) < 2 * self.min_samples_leaf
                 or probability in (0.0, 1.0)):
             return node_index
-        split = self._best_split(X, y, weights, indices, presorted)
+        split = self._best_split(columns, weights, positive, presorted,
+                                 total, pos)
         if split is None:
             return node_index
         feature, threshold = split
-        mask = X[indices, feature] <= threshold
-        left_idx, right_idx = indices[mask], indices[~mask]
-        # Partition each column's presorted order by membership: child
+        mask = columns[feature].take(indices) <= threshold
+        left_idx, right_idx = indices.compress(mask), indices.compress(~mask)
+        # Partition each feature's presorted row by membership: child
         # orders stay sorted (stable subsequences of a stable sort).
-        in_left = np.zeros(len(X), dtype=bool)
+        # ``compress`` on the flat arrays, not a boolean subscript,
+        # which is several times slower on a random mask.
+        in_left = np.zeros(columns.shape[1], dtype=bool)
         in_left[left_idx] = True
-        member = in_left[presorted]
-        n_features = presorted.shape[1]
-        left_sorted = presorted.T[member.T].reshape(
-            n_features, len(left_idx)).T
-        right_sorted = presorted.T[~member.T].reshape(
-            n_features, len(right_idx)).T
+        member = in_left.take(presorted).ravel()
+        n_features = len(presorted)
+        left_sorted = presorted.compress(member).reshape(
+            n_features, len(left_idx))
+        right_sorted = presorted.compress(~member).reshape(
+            n_features, len(right_idx))
         node.feature = feature
         node.threshold = threshold
-        node.left = self._grow(X, y, weights, left_idx, left_sorted, depth + 1)
-        node.right = self._grow(X, y, weights, right_idx, right_sorted,
-                                depth + 1)
+        node.left = self._grow(columns, y, weights, positive, left_idx,
+                               left_sorted, depth + 1)
+        node.right = self._grow(columns, y, weights, positive, right_idx,
+                                right_sorted, depth + 1)
         return node_index
 
     def _candidate_features(self, n_features: int) -> np.ndarray:
@@ -235,61 +244,63 @@ class DecisionTreeClassifier(Classifier):
                else np.random.default_rng(0))
         return rng.choice(n_features, size=self.max_features, replace=False)
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                    indices: np.ndarray,
-                    presorted: np.ndarray) -> tuple[int, float] | None:
-        """Best (feature, threshold) by one masked-gain matrix computation.
+    def _best_split(self, columns: np.ndarray, weights: np.ndarray,
+                    positive: np.ndarray, presorted: np.ndarray,
+                    total: float, total_pos: float
+                    ) -> tuple[int, float] | None:
+        """Best (feature, threshold), scoring candidate boundaries only.
 
-        All boundaries of all candidate features are scored at once.
-        The winner is the first strict maximum in (feature order,
-        boundary order) — exactly the argmax the historical nested loop
-        produced, so fitted trees are byte-identical to it.
+        A candidate is a boundary ``b`` (``b + 1`` rows to its left)
+        that leaves ``min_samples_leaf`` rows on each side and where
+        the feature's sorted value strictly increases; every other
+        boundary can never win.  Left sums are sequential cumsums over
+        the node's sorted rows, and the gains use the historical
+        loop's float expressions elementwise, so the winner — the
+        first strict maximum in (feature order, boundary order) — and
+        the fitted tree are byte-identical to it.
         """
-        m = len(indices)
-        w = weights[indices]
-        labels = y[indices]
-        total = w.sum()
-        total_pos = float(w[labels == 1.0].sum())
-        parent_impurity = _weighted_gini(total_pos, total)
-
-        features = self._candidate_features(X.shape[1])
-        order = presorted[:, features]                      # (m, c) row ids
-        sorted_values = X[order, features[None, :]]         # (m, c)
-        sorted_w = weights[order]
-        sorted_pos = sorted_w * (y[order] == 1.0)
-        cum_w = np.cumsum(sorted_w, axis=0)
-        cum_pos = np.cumsum(sorted_pos, axis=0)
-
-        left_w = cum_w[:-1]
-        right_w = total - left_w
-        left_pos = cum_pos[:-1]
-        right_pos = total_pos - left_pos
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_left = np.where(left_w > 0, left_pos / left_w, 0.0)
-            p_right = np.where(right_w > 0, right_pos / right_w, 0.0)
-        gini_left = np.where(left_w > 0, 2.0 * p_left * (1.0 - p_left), 0.0)
-        gini_right = np.where(right_w > 0,
-                              2.0 * p_right * (1.0 - p_right), 0.0)
-        impurity = left_w / total * gini_left + right_w / total * gini_right
-        gain = parent_impurity - impurity                   # (m-1, c)
-
-        # Valid boundaries: distinct consecutive values, both children
-        # large enough, gain above the floor.
-        n_left = np.arange(1, m)
-        valid = np.diff(sorted_values, axis=0) > 0
-        valid &= (n_left >= self.min_samples_leaf)[:, None]
-        valid &= (n_left <= m - self.min_samples_leaf)[:, None]
-        valid &= gain > self.min_impurity_decrease + 1e-12
-        if not valid.any():
+        n_features, m = presorted.shape
+        features = self._candidate_features(n_features)
+        order = presorted if len(features) == n_features else presorted[features]
+        # Boundaries b in [low, high) leave min_samples_leaf rows a side.
+        low, high = self.min_samples_leaf - 1, m - self.min_samples_leaf
+        values = columns.take(order + (features * columns.shape[1])[:, None])
+        # Candidates, flat in (feature, boundary) order over the prefix.
+        candidate = np.zeros((len(order), high), dtype=bool)
+        np.greater(values[:, low + 1:high + 1], values[:, low:high],
+                   out=candidate[:, low:])
+        at = np.flatnonzero(candidate)
+        if not len(at):
             return None
-        gains = np.where(valid, gain, -np.inf)
-        # Feature-major argmax = first (feature, boundary) strict max.
-        flat = int(np.argmax(gains.T))
-        column, boundary = divmod(flat, m - 1)
-        midpoint = 0.5 * (
-            sorted_values[boundary, column] + sorted_values[boundary + 1, column]
-        )
-        return int(features[column]), float(midpoint)
+        prefix = order[:, :high]
+        left_w = np.cumsum(weights.take(prefix), axis=1).take(at)
+        left_pos = np.cumsum(positive.take(prefix), axis=1).take(at)
+
+        # The historical gain expressions, evaluated in place on the
+        # candidates: each step is the same IEEE operation on the same
+        # operands.  A side without weight has Gini 0.
+        right_w = total - left_w
+        right_pos = total_pos - left_pos
+        scratch = np.empty_like(left_w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for side_w, side_pos in ((left_w, left_pos), (right_w, right_pos)):
+                gini = np.divide(side_pos, side_w, out=side_pos)
+                np.subtract(1.0, gini, out=scratch)
+                np.multiply(2.0, gini, out=gini)
+                np.multiply(gini, scratch, out=gini)
+                np.copyto(gini, 0.0, where=~(side_w > 0))
+                np.divide(side_w, total, out=side_w)
+                np.multiply(side_w, gini, out=side_w)
+            gain = np.add(left_w, right_w, out=left_w)
+            np.subtract(_weighted_gini(total_pos, total), gain, out=gain)
+        # A zero-weight node has only NaN gains, which never pass.
+        passing = gain > self.min_impurity_decrease + 1e-12
+        if not passing.any():
+            return None
+        np.copyto(gain, -np.inf, where=~passing)
+        row, boundary = divmod(int(at[np.argmax(gain)]), high)
+        midpoint = 0.5 * (values[row, boundary] + values[row, boundary + 1])
+        return int(features[row]), float(midpoint)
 
     # -- prediction -----------------------------------------------------------
 

@@ -294,3 +294,18 @@ def test_auc_resampler_matches_roc_auc_on_the_resample(sample, data):
         assert np.isnan(got)
         return
     assert _bits(got) == _bits(expected)
+
+
+def test_auc_resampler_matches_roc_auc_at_scale():
+    # The rank sum is exact at any size below ~6.7e7 rows, so the
+    # counting worker's elementwise sum must match the per-resample
+    # AUC bit for bit on a full-sized, tie-heavy sample too.
+    rng = np.random.default_rng(50_000)
+    n = 50_000
+    y_true = (rng.random(n) < 0.3).astype(float)
+    scores = np.round(
+        1.0 / (1.0 + np.exp(-(y_true + rng.standard_normal(n)))), 3)
+    worker = roc_auc.resampler(y_true, scores)
+    for _ in range(4):
+        idx = rng.integers(0, n, n)
+        assert _bits(worker(idx)) == _bits(roc_auc(y_true[idx], scores[idx]))

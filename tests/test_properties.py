@@ -228,3 +228,160 @@ def test_reweighing_equals_the_per_cell_reference(data):
         numeric("y", role=ColumnRole.TARGET),
     ]), {"g": group, "y": y_true})
     assert reweigh(table).tobytes() == expected
+
+
+# -- tree split search -----------------------------------------------------------
+
+
+def _reference_tree_state(X, y, weights, max_depth, min_samples_leaf,
+                          min_impurity_decrease, max_features, rng):
+    """The masked-gain split search the candidate-only kernel replaced.
+
+    Every boundary of every drawn feature is scored in one ``(m-1, c)``
+    gain matrix, masked, and the first strict maximum in (feature,
+    boundary) order wins.  Returns the nodes depth-first as
+    ``(feature, threshold, left, right, probability, weight)`` arrays.
+    """
+    nodes = []
+    n_features = X.shape[1]
+
+    def gini(pos, total):
+        if total <= 0:
+            return 0.0
+        p = pos / total
+        return 2.0 * p * (1.0 - p)
+
+    def best_split(indices, presorted):
+        m = len(indices)
+        w = weights[indices]
+        total = w.sum()
+        total_pos = float(w[y[indices] == 1.0].sum())
+        parent_impurity = gini(total_pos, total)
+        if max_features is None or max_features >= n_features:
+            features = np.arange(n_features)
+        else:
+            features = rng.choice(n_features, size=max_features,
+                                  replace=False)
+        order = presorted[:, features]
+        sorted_values = X[order, features[None, :]]
+        sorted_w = weights[order]
+        cum_w = np.cumsum(sorted_w, axis=0)
+        cum_pos = np.cumsum(sorted_w * (y[order] == 1.0), axis=0)
+        left_w, left_pos = cum_w[:-1], cum_pos[:-1]
+        right_w, right_pos = total - left_w, total_pos - left_pos
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_left = np.where(left_w > 0, left_pos / left_w, 0.0)
+            p_right = np.where(right_w > 0, right_pos / right_w, 0.0)
+            gini_left = np.where(left_w > 0, 2.0 * p_left * (1.0 - p_left),
+                                 0.0)
+            gini_right = np.where(right_w > 0,
+                                  2.0 * p_right * (1.0 - p_right), 0.0)
+            impurity = (left_w / total * gini_left
+                        + right_w / total * gini_right)
+        gain = parent_impurity - impurity
+        n_left = np.arange(1, m)
+        valid = np.diff(sorted_values, axis=0) > 0
+        valid &= (n_left >= min_samples_leaf)[:, None]
+        valid &= (n_left <= m - min_samples_leaf)[:, None]
+        valid &= gain > min_impurity_decrease + 1e-12
+        if not valid.any():
+            return None
+        flat = int(np.argmax(np.where(valid, gain, -np.inf).T))
+        column, boundary = divmod(flat, m - 1)
+        midpoint = 0.5 * (sorted_values[boundary, column]
+                          + sorted_values[boundary + 1, column])
+        return int(features[column]), float(midpoint)
+
+    def grow(indices, presorted, depth):
+        node_index = len(nodes)
+        w = weights[indices]
+        total = w.sum()
+        pos = float(w[y[indices] == 1.0].sum())
+        probability = pos / total if total > 0 else 0.5
+        nodes.append([-1, 0.0, -1, -1, probability, float(total)])
+        if (depth >= max_depth or len(indices) < 2 * min_samples_leaf
+                or probability in (0.0, 1.0)):
+            return node_index
+        split = best_split(indices, presorted)
+        if split is None:
+            return node_index
+        feature, threshold = split
+        mask = X[indices, feature] <= threshold
+        left_idx, right_idx = indices[mask], indices[~mask]
+        in_left = np.zeros(len(X), dtype=bool)
+        in_left[left_idx] = True
+        member = in_left[presorted]
+        left_sorted = presorted.T[member.T].reshape(
+            n_features, len(left_idx)).T
+        right_sorted = presorted.T[~member.T].reshape(
+            n_features, len(right_idx)).T
+        nodes[node_index][:2] = [feature, threshold]
+        nodes[node_index][2] = grow(left_idx, left_sorted, depth + 1)
+        nodes[node_index][3] = grow(right_idx, right_sorted, depth + 1)
+        return node_index
+
+    grow(np.arange(len(y)), np.argsort(X, axis=0, kind="stable"), 0)
+    columns = list(zip(*nodes))
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64,
+              np.float64)
+    return [np.array(c, dtype=t) for c, t in zip(columns, dtypes)]
+
+
+@st.composite
+def tied_fits(draw):
+    """A tie-heavy matrix, labels, weights and tree parameters.
+
+    Columns are binary, few-level (both signs of zero included) or
+    normals rounded to one decimal; weights are absent, non-integer, or
+    non-integer with zeros.
+    """
+    n_rows = draw(st.integers(2, 48))
+    kinds = draw(st.lists(st.sampled_from(["binary", "levels", "rounded"]),
+                          min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {
+        "binary": lambda: rng.integers(0, 2, n_rows).astype(float),
+        "levels": lambda: rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], n_rows),
+        "rounded": lambda: np.round(rng.standard_normal(n_rows), 1),
+    }
+    X = np.column_stack([columns[kind]() for kind in kinds])
+    y = rng.integers(0, 2, n_rows).astype(float)
+    weighting = draw(st.sampled_from(["none", "non-integer", "zeros"]))
+    weights = None
+    if weighting != "none":
+        weights = rng.uniform(0.1, 3.0, n_rows)
+        if weighting == "zeros":
+            weights[rng.random(n_rows) < 0.3] = 0.0
+            weights[0] = max(weights[0], 0.7)
+    params = dict(
+        max_depth=draw(st.integers(1, 6)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        min_impurity_decrease=draw(st.sampled_from([0.0, 1e-3, 0.02])),
+        max_features=draw(st.one_of(st.none(), st.integers(1, len(kinds)))),
+    )
+    return X, y, weights, params, draw(st.integers(0, 2**32 - 1))
+
+
+@given(tied_fits())
+@settings(max_examples=200, deadline=None)
+def test_tree_state_equals_the_masked_gain_reference(fit):
+    from repro.learn.tree import DecisionTreeClassifier
+
+    X, y, weights, params, seed = fit
+    tree = DecisionTreeClassifier(
+        rng=np.random.default_rng(seed), **params
+    ).fit(X, y, sample_weight=weights)
+    expected = _reference_tree_state(
+        X, y, np.ones(len(y)) if weights is None else weights,
+        rng=np.random.default_rng(seed), **params,
+    )
+    nodes = tree._nodes
+    got = [
+        np.array([n.feature for n in nodes], dtype=np.int64),
+        np.array([n.threshold for n in nodes], dtype=np.float64),
+        np.array([n.left for n in nodes], dtype=np.int64),
+        np.array([n.right for n in nodes], dtype=np.int64),
+        np.array([n.probability for n in nodes], dtype=np.float64),
+        np.array([n.weight for n in nodes], dtype=np.float64),
+    ]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
