@@ -522,7 +522,14 @@ class Table:
     # -- grouping / summaries ------------------------------------------------------
 
     def unique(self, name: str) -> np.ndarray:
-        """Sorted unique values of one column."""
+        """Sorted unique values of one column.
+
+        A categorical column's are its content view's categories,
+        sorted: ``np.unique``'s object array without sorting every row.
+        """
+        if self._schema[name].ctype is ColumnType.CATEGORICAL:
+            categories, _ = self._content_view(name)
+            return np.array(sorted(categories), dtype=object)
         return np.unique(self.column(name))
 
     def group_indices(self, name: str) -> dict[object, np.ndarray]:

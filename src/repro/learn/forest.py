@@ -17,7 +17,11 @@ from repro.learn.base import (
     check_matrix,
     check_weights,
 )
-from repro.learn.tree import DecisionTreeClassifier, ensemble_leaf_values
+from repro.learn.tree import (
+    DecisionTreeClassifier,
+    check_max_features,
+    ensemble_leaf_values,
+)
 
 
 class RandomForestClassifier(Classifier):
@@ -40,6 +44,7 @@ class RandomForestClassifier(Classifier):
                  max_features: int | None = None, seed: int = 0):
         if n_trees < 1:
             raise DataError("n_trees must be >= 1")
+        check_max_features(max_features)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf

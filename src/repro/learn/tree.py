@@ -20,6 +20,7 @@ golden tests in ``tests/test_learn_golden.py``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,18 @@ class _Node:
     probability: float = 0.5
     weight: float = 0.0
     depth: int = 0
+
+
+def check_max_features(max_features) -> None:
+    """Reject a ``max_features`` that is neither ``None`` nor an int >= 1."""
+    if max_features is None:
+        return
+    if (isinstance(max_features, bool)
+            or not isinstance(max_features, numbers.Integral)
+            or max_features < 1):
+        raise DataError(
+            f"max_features must be None or an int >= 1, got {max_features!r}"
+        )
 
 
 def _weighted_gini(pos_weight: float, total_weight: float) -> float:
@@ -157,6 +170,7 @@ class DecisionTreeClassifier(Classifier):
             raise DataError("max_depth must be >= 1")
         if min_samples_leaf < 1:
             raise DataError("min_samples_leaf must be >= 1")
+        check_max_features(max_features)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_impurity_decrease = min_impurity_decrease

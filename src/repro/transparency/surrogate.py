@@ -70,8 +70,12 @@ def fit_surrogate(black_box: Classifier, X,
     )
     tree.fit(X, box_decisions)
 
-    eval_X = X if X_eval is None else np.asarray(X_eval, dtype=np.float64)
-    eval_box_probabilities = black_box.predict_proba(eval_X)
+    if X_eval is None:
+        # The box is deterministic: its pass over X serves the fidelity.
+        eval_X, eval_box_probabilities = X, box_probabilities
+    else:
+        eval_X = np.asarray(X_eval, dtype=np.float64)
+        eval_box_probabilities = black_box.predict_proba(eval_X)
     eval_box_decisions = (eval_box_probabilities >= 0.5).astype(np.float64)
     tree_probabilities = tree.predict_proba(eval_X)
     tree_decisions = (tree_probabilities >= 0.5).astype(np.float64)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataError, NotFittedError
+from repro.learn.forest import RandomForestClassifier
 from repro.learn.metrics import accuracy
 from repro.learn.tree import DecisionTreeClassifier
 
@@ -116,6 +117,25 @@ def test_tree_max_features_subsampling(rng):
     tree = DecisionTreeClassifier(max_depth=3, max_features=1, rng=rng)
     tree.fit(X, y)  # should not raise; splits restricted to one feature each
     assert tree.n_nodes >= 1
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, "2", True])
+def test_max_features_must_be_none_or_a_positive_int(bad):
+    # 0 used to fit a one-node tree (no feature was ever a candidate)
+    # and a constant forest; -1 and 2.5 failed only inside rng.choice.
+    with pytest.raises(DataError, match="max_features"):
+        DecisionTreeClassifier(max_features=bad)
+    with pytest.raises(DataError, match="max_features"):
+        RandomForestClassifier(max_features=bad)
+
+
+def test_max_features_accepts_numpy_ints(rng):
+    X, y = xor_data(rng)
+    tree = DecisionTreeClassifier(max_depth=3, max_features=np.int64(1),
+                                  rng=np.random.default_rng(0)).fit(X, y)
+    assert tree.n_nodes > 1
+    forest = RandomForestClassifier(n_trees=3, max_features=np.int32(2))
+    assert forest.fit(X, y).predict_proba(X).shape == (len(X),)
 
 
 def test_default_feature_rng_varies_across_nodes_within_a_fit():

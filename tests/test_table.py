@@ -162,6 +162,41 @@ def test_unique(small_table):
     assert small_table.unique("city").tolist() == ["north", "south"]
 
 
+def _assert_unique_matches_numpy(table, name):
+    got, expected = table.unique(name), np.unique(table.column(name))
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tolist() == expected.tolist()
+    assert [type(value) for value in got.tolist()] == \
+        [type(value) for value in expected.tolist()]
+
+
+def test_unique_reads_the_content_view_and_equals_np_unique():
+    from repro.data.synth import CensusIncomeGenerator
+
+    census = CensusIncomeGenerator().generate(2_000, np.random.default_rng(5))
+    awkward = Table(Schema([categorical("c"), numeric("x")]), {
+        "c": ["b", "", "a\x00", "a", "é", "Ω", "", "a\x00", "ä", "a "],
+        "x": np.arange(10.0),
+    })
+    empty = Table(Schema([categorical("c"), numeric("x")]),
+                  {"c": [], "x": []})
+    tables = {
+        "census": census,
+        "awkward": awkward,
+        "empty": empty,
+        "take": census.take(np.arange(0, 2_000, 7)),
+        "concat": Table.concat([awkward, awkward.take([1, 2, 3])]),
+    }
+    for label, table in tables.items():
+        if label in ("take", "concat"):
+            assert table._content == {}, label  # row operations: no view
+        for name in table.column_names:
+            _assert_unique_matches_numpy(table, name)
+    assert awkward.unique("c").tolist() == \
+        ["", "a", "a\x00", "a ", "b", "ä", "é", "Ω"]
+    assert "education" in census._content  # categorical: read the view
+
+
 # -- zero-copy column views --------------------------------------------------
 
 
