@@ -4,9 +4,15 @@ ROADMAP item 5: the measured speed pass the profiling/bench investment
 was built for.  This bench pins every claim with the *old*
 implementations carried along as executable baselines:
 
-* **Tree fit** — presorted, fully vectorized masked-gain splitting vs
-  the historical per-node argsort + Python boundary loop.  Fitted node
-  state and predictions must be byte-identical.
+* **Tree fit** — one column-major presort per fit, partitioned down
+  to each node, and a split search that scores only candidate
+  boundaries (where a feature's sorted value changes inside the
+  leaf-size window) vs the historical per-node argsort + Python
+  boundary loop.  Two shapes: continuous features, where every
+  boundary is a candidate, and the census encoder's matrix (one-hot
+  and zero-inflated columns, depth 4, as the transparency surrogate
+  sees it), where most boundaries are ties.  Fitted node state and
+  predictions must be byte-identical on both.
 * **k-NN search** — blocked partition-select ``nearest_indices`` vs the
   full stable ``argsort`` of every pool distance.  Neighbour indices
   must be byte-identical.
@@ -49,11 +55,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
 from benchmarks._tools import SEED, emit, format_table  # noqa: E402
 from repro.accuracy.bootstrap import bootstrap_paired_ci  # noqa: E402
+from repro.data.synth.census import CensusIncomeGenerator  # noqa: E402
 from repro.exceptions import DataError, FairnessError  # noqa: E402
 from repro.fairness.report import FairnessReport, audit_decisions  # noqa: E402
 from repro.learn.calibration import expected_calibration_error  # noqa: E402
 from repro.learn.metrics import confusion_matrix, roc_auc  # noqa: E402
 from repro.learn.mlp import MLPClassifier  # noqa: E402
+from repro.learn.preprocessing import FeatureEncoder  # noqa: E402
 from repro.learn.neighbors import (  # noqa: E402
     nearest_indices,
     pairwise_distances,
@@ -180,6 +188,22 @@ def naive_tree_predict(nodes, X):
         stack.append((left, rows[mask]))
         stack.append((right, rows[~mask]))
     return out
+
+
+def same_tree(tree, naive_nodes, queries) -> bool:
+    """Whether a fitted tree and the loop's node list are byte-identical."""
+    arrays = tree._arrays()
+    return (
+        len(naive_nodes) == len(tree._nodes)
+        and np.array_equal(arrays.feature,
+                           np.array([n[0] for n in naive_nodes]))
+        and np.array_equal(arrays.threshold,
+                           np.array([n[1] for n in naive_nodes]))
+        and np.array_equal(arrays.value,
+                           np.array([n[4] for n in naive_nodes]))
+        and np.array_equal(tree.predict_proba(queries),
+                           naive_tree_predict(naive_nodes, queries))
+    )
 
 
 def naive_nearest_indices(queries, pool, k):
@@ -382,11 +406,13 @@ def main(argv=None) -> int:
         auc_rows, auc_resamples = 1200, 50
         knn_pool_rows = None            # search the training set
         audit_rows = 5_000
+        census_rows = 2_000
     else:
         n_train, n_query, k = 6000, 800, 10
         epochs = 8
         auc_rows, auc_resamples = 5000, 100
         audit_rows = 40_000
+        census_rows = 5_000
         # Dedicated situation-testing-sized pool: at full size the k-NN
         # claim is about searching a large population, where the full
         # argsort baseline degrades fastest.
@@ -413,6 +439,11 @@ def main(argv=None) -> int:
     audit_scores = 1.0 / (1.0 + np.exp(-(1.5 * audit_labels - 1.0
                                          + rng.standard_normal(audit_rows))))
     audit_decided = (audit_scores >= 0.5).astype(float)
+    # The census encoder's matrix: two continuous columns, the
+    # zero-inflated capital_gain and five one-hot education columns.
+    census = CensusIncomeGenerator().generate(census_rows, rng)
+    census_X = FeatureEncoder().fit_transform(census)
+    census_y = census.column("high_income").astype(float)
 
     failures = []
     speedups = {}
@@ -427,22 +458,25 @@ def main(argv=None) -> int:
         lambda: naive_tree_fit(X, y, max_depth=8, min_samples_leaf=5),
         max(1, repeats - 1),
     )
-    arrays = tree._arrays()
-    same_structure = (
-        len(naive_nodes) == len(tree._nodes)
-        and np.array_equal(arrays.feature,
-                           np.array([n[0] for n in naive_nodes]))
-        and np.array_equal(arrays.threshold,
-                           np.array([n[1] for n in naive_nodes]))
-        and np.array_equal(arrays.value,
-                           np.array([n[4] for n in naive_nodes]))
-    )
-    if not same_structure:
-        failures.append("TREE MISMATCH: vectorized fit built a different tree")
-    if not np.array_equal(tree.predict_proba(queries),
-                          naive_tree_predict(naive_nodes, queries)):
-        failures.append("TREE MISMATCH: predictions differ")
+    if not same_tree(tree, naive_nodes, queries):
+        failures.append("TREE MISMATCH: continuous features")
     speedups["tree_fit"] = naive_tree_s / fast_tree_s if fast_tree_s else 0.0
+
+    # -- tree fit on the census encoder's tie-heavy matrix ----------------
+    census_tree, fast_census_s = _timed(
+        lambda: DecisionTreeClassifier(max_depth=4, min_samples_leaf=10)
+        .fit(census_X, census_y),
+        repeats,
+    )
+    census_nodes, naive_census_s = _timed(
+        lambda: naive_tree_fit(census_X, census_y, max_depth=4,
+                               min_samples_leaf=10),
+        max(1, repeats - 1),
+    )
+    if not same_tree(census_tree, census_nodes, census_X):
+        failures.append("CENSUS TREE MISMATCH: one-hot census features")
+    speedups["census_tree_fit"] = (naive_census_s / fast_census_s
+                                   if fast_census_s else 0.0)
 
     # -- k-NN: blocked partition-select vs full stable argsort -----------
     fast_idx, fast_knn_s = _timed(
@@ -542,6 +576,10 @@ def main(argv=None) -> int:
         [
             ["tree fit", fast_tree_s, naive_tree_s, speedups["tree_fit"],
              "NO" if any(f.startswith("TREE") for f in failures) else "yes"],
+            [f"tree fit (census one-hot, depth 4, {census_rows} rows)",
+             fast_census_s, naive_census_s, speedups["census_tree_fit"],
+             "NO" if any(f.startswith("CENSUS") for f in failures)
+             else "yes"],
             [f"k-NN (k={k}, pool {len(knn_pool)})", fast_knn_s,
              naive_knn_s, speedups["knn"],
              "NO" if any(f.startswith("KNN") for f in failures) else "yes"],
