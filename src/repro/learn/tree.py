@@ -7,15 +7,20 @@ Leaves store weighted positive-class fractions so trees are probabilistic
 like every other classifier here.
 
 Hot-path design (see docs/api.md, "Hot kernels"): each feature
-column is **argsorted once per fit** and the per-node sorted orders are
-maintained by partitioning the parent's presorted index matrix — no
-re-sorting at any node.  Candidate splits are scored with one vectorized
-masked-gain computation over *all* boundaries of *all* candidate
-features at once, replacing the historical Python-level boundary loop.
-Fitted trees additionally keep a structure-of-arrays mirror of their
-nodes so batched prediction descends with pure numpy gathers.  Both
-rewrites are pinned byte-identical to the loop implementation by the
-golden tests in ``tests/test_learn_golden.py``.
+column is **argsorted once per fit**, feature-major (one row of row ids
+per feature), and the per-node sorted orders are maintained by
+partitioning the parent's presorted matrix — no re-sorting at any node.
+The split search scores only *candidate* boundaries, where a feature's
+sorted value changes inside the leaf-size window: on one-hot and
+zero-inflated columns that is a small share of all boundaries.  Left
+sums are sequential cumsums over the node's sorted rows and the gains
+are the historical Python-level boundary loop's float expressions, so
+the first strict maximum it found is found again.  Fitted trees
+additionally keep a structure-of-arrays mirror of their nodes so
+batched prediction descends with pure numpy gathers.  Both rewrites are
+pinned byte-identical to the loop implementation by the golden tests in
+``tests/test_learn_golden.py`` and by a hypothesis property over
+tie-heavy fits in ``tests/test_properties.py``.
 """
 
 from __future__ import annotations
@@ -275,7 +280,8 @@ class DecisionTreeClassifier(Classifier):
         """
         n_features, m = presorted.shape
         features = self._candidate_features(n_features)
-        order = presorted if len(features) == n_features else presorted[features]
+        order = (presorted if len(features) == n_features
+                 else presorted[features])
         # Boundaries b in [low, high) leave min_samples_leaf rows a side.
         low, high = self.min_samples_leaf - 1, m - self.min_samples_leaf
         values = columns.take(order + (features * columns.shape[1])[:, None])
