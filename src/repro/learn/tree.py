@@ -301,13 +301,13 @@ class DecisionTreeClassifier(Classifier):
         # operands.  A side without weight has Gini 0.
         right_w = total - left_w
         right_pos = total_pos - left_pos
-        scratch = np.empty_like(left_w)
+        complement = np.empty_like(left_w)
         with np.errstate(divide="ignore", invalid="ignore"):
             for side_w, side_pos in ((left_w, left_pos), (right_w, right_pos)):
                 gini = np.divide(side_pos, side_w, out=side_pos)
-                np.subtract(1.0, gini, out=scratch)
+                np.subtract(1.0, gini, out=complement)
                 np.multiply(2.0, gini, out=gini)
-                np.multiply(gini, scratch, out=gini)
+                np.multiply(gini, complement, out=gini)
                 np.copyto(gini, 0.0, where=~(side_w > 0))
                 np.divide(side_w, total, out=side_w)
                 np.multiply(side_w, gini, out=side_w)
