@@ -1,11 +1,11 @@
 """E16 — the artifact store: cold vs warm FACT audits + incremental replay.
 
 ROADMAP claim: re-auditing after a small change should cost what the
-change costs, not what the audit costs.  The store memoises every
-expensive pure stage under canonical fingerprints of (data content,
-parameters, code version) and keeps the shared rng's stream continuous
-across replays, so a warm audit is (a) much faster and (b) **byte-
-identical** to the cold one.  This bench measures all three promises:
+change costs, not what the audit costs.  The audit's engine memoises
+each pillar section (and each shard's partial) under canonical
+fingerprints of (data content, parameters, code version, seed), so a
+warm audit is (a) much faster and (b) **byte-identical** to the cold
+one.  This bench measures all three promises:
 
 * **Warm speedup** — the same FACT audit runs cold (empty store) and
   warm (populated store); the table reports wall-clock and the factor.
@@ -14,8 +14,9 @@ identical** to the cold one.  This bench measures all three promises:
   must equal the cold one's exactly, and both must equal a storeless
   audit (the store must be invisible in results).
 * **Incremental re-audit** — one parameter changes (the surrogate
-  depth); only the transparency section recomputes, so the "changed"
-  row lands between warm and cold.
+  depth); only the transparency section recomputes, whole (surrogate
+  and permutation importance alike: nothing below a section is
+  cached), so the "changed" row lands between warm and cold.
 
 Run directly (``python benchmarks/bench_e16_store.py``); pass
 ``--smoke`` for the quick CI-sized variant exercised on every push.

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.exceptions import DataError
 from repro.parallel import pmap
-from repro.store import array_fingerprint, code_fingerprint, resolve_store
 
 #: Degenerate-resample failures a paired bootstrap may legitimately skip:
 #: library metrics signal bad slices with DataError (a resample with a
@@ -103,17 +102,14 @@ def bootstrap_ci(values, statistic: Callable[[np.ndarray], float],
                  rng: np.random.Generator,
                  confidence: float = 0.95,
                  n_resamples: int = 1000,
-                 n_jobs: int | None = None,
-                 store=None) -> IntervalEstimate:
+                 n_jobs: int | None = None) -> IntervalEstimate:
     """Percentile bootstrap interval for ``statistic`` of one sample.
 
     ``n_jobs`` parallelises the statistic evaluations (``None`` defers
     to ``$REPRO_N_JOBS``); estimates are identical for every setting.
-    ``store`` memoises the interval in an
-    :class:`~repro.store.ArtifactStore` keyed on the data content, the
-    statistic's code, the parameters, and the rng state (``None``
-    defers to ``$REPRO_STORE``); ``n_jobs`` stays *out* of the key
-    because results are identical across it.
+    Nothing is memoised here: a caller that wants the interval cached
+    runs it inside a plan node (see :mod:`repro.engine`), whose key
+    names its inputs and parameters.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or len(values) < 2:
@@ -122,36 +118,18 @@ def bootstrap_ci(values, statistic: Callable[[np.ndarray], float],
         raise DataError("confidence must be in (0, 1)")
     if n_resamples < 10:
         raise DataError("need at least 10 resamples")
-
-    def compute() -> IntervalEstimate:
-        n = len(values)
-        indices = rng.integers(0, n, size=(n_resamples, n))
-        worker = _ResampleStatistic(values, statistic)
-        estimates = np.array(pmap(
-            worker, list(indices), n_jobs=n_jobs, name="bootstrap",
-        ))
-        alpha = 1.0 - confidence
-        lower, upper = np.quantile(
-            estimates, [alpha / 2.0, 1.0 - alpha / 2.0]
-        )
-        return IntervalEstimate(
-            estimate=float(statistic(values)), lower=float(lower),
-            upper=float(upper), confidence=confidence,
-            n_resamples=n_resamples,
-        )
-
-    store = resolve_store(store)
-    if store is None:
-        return compute()
-    return store.memoize(
-        {
-            "stage": "bootstrap_ci",
-            "values": array_fingerprint(values),
-            "statistic": code_fingerprint(statistic),
-            "confidence": confidence,
-            "n_resamples": n_resamples,
-        },
-        compute, rng=rng,
+    n = len(values)
+    indices = rng.integers(0, n, size=(n_resamples, n))
+    worker = _ResampleStatistic(values, statistic)
+    estimates = np.array(pmap(
+        worker, list(indices), n_jobs=n_jobs, name="bootstrap",
+    ))
+    alpha = 1.0 - confidence
+    lower, upper = np.quantile(estimates, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return IntervalEstimate(
+        estimate=float(statistic(values)), lower=float(lower),
+        upper=float(upper), confidence=confidence,
+        n_resamples=n_resamples,
     )
 
 
@@ -160,8 +138,7 @@ def bootstrap_paired_ci(y_true, y_pred,
                         rng: np.random.Generator,
                         confidence: float = 0.95,
                         n_resamples: int = 1000,
-                        n_jobs: int | None = None,
-                        store=None) -> IntervalEstimate:
+                        n_jobs: int | None = None) -> IntervalEstimate:
     """Percentile bootstrap for a metric of aligned (y_true, y_pred) pairs.
 
     Rows are resampled jointly, preserving the pairing — this is how the
@@ -173,10 +150,9 @@ def bootstrap_paired_ci(y_true, y_pred,
     friends — :data:`_DEGENERATE_ERRORS`) are skipped and *counted* in
     the result's ``n_skipped``; any other exception from the metric is a
     bug and propagates.  ``n_jobs`` parallelises the metric evaluations
-    with identical results for every setting.  ``store`` memoises the
-    interval keyed on data content + metric code + parameters + rng
-    state (``None`` defers to ``$REPRO_STORE``); ``n_jobs`` stays out
-    of the key because results are identical across it.
+    with identical results for every setting.  Nothing is memoised
+    here; the FACT audit caches its whole accuracy section as one plan
+    node.
     """
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
@@ -188,45 +164,26 @@ def bootstrap_paired_ci(y_true, y_pred,
         raise DataError("confidence must be in (0, 1)")
     if n_resamples < 10:
         raise DataError("need at least 10 resamples")
-
-    def compute() -> IntervalEstimate:
-        # Scored first, so a sample the metric rejects fails with the
-        # metric's own error before the generator is touched.
-        estimate = float(metric(y_true, y_pred))
-        n = len(y_true)
-        indices = rng.integers(0, n, size=(n_resamples, n))
-        resampler = getattr(metric, "resampler", None)
-        worker = resampler(y_true, y_pred) if resampler else None
-        if worker is None:
-            worker = _ResampleMetric(y_true, y_pred, metric)
-        estimates = np.array(pmap(
-            worker, list(indices), n_jobs=n_jobs, name="bootstrap",
-        ))
-        valid = estimates[~np.isnan(estimates)]
-        n_skipped = n_resamples - len(valid)
-        if len(valid) < max(10, n_resamples // 2):
-            raise DataError(
-                "too many degenerate resamples for a stable interval"
-            )
-        alpha = 1.0 - confidence
-        lower, upper = np.quantile(valid, [alpha / 2.0, 1.0 - alpha / 2.0])
-        return IntervalEstimate(
-            estimate=estimate, lower=float(lower),
-            upper=float(upper), confidence=confidence,
-            n_resamples=len(valid), n_skipped=n_skipped,
-        )
-
-    store = resolve_store(store)
-    if store is None:
-        return compute()
-    return store.memoize(
-        {
-            "stage": "bootstrap_paired_ci",
-            "y_true": array_fingerprint(y_true),
-            "y_pred": array_fingerprint(y_pred),
-            "metric": code_fingerprint(metric),
-            "confidence": confidence,
-            "n_resamples": n_resamples,
-        },
-        compute, rng=rng,
+    # Scored first, so a sample the metric rejects fails with the
+    # metric's own error before the generator is touched.
+    estimate = float(metric(y_true, y_pred))
+    n = len(y_true)
+    indices = rng.integers(0, n, size=(n_resamples, n))
+    resampler = getattr(metric, "resampler", None)
+    worker = resampler(y_true, y_pred) if resampler else None
+    if worker is None:
+        worker = _ResampleMetric(y_true, y_pred, metric)
+    estimates = np.array(pmap(
+        worker, list(indices), n_jobs=n_jobs, name="bootstrap",
+    ))
+    valid = estimates[~np.isnan(estimates)]
+    n_skipped = n_resamples - len(valid)
+    if len(valid) < max(10, n_resamples // 2):
+        raise DataError("too many degenerate resamples for a stable interval")
+    alpha = 1.0 - confidence
+    lower, upper = np.quantile(valid, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return IntervalEstimate(
+        estimate=estimate, lower=float(lower),
+        upper=float(upper), confidence=confidence,
+        n_resamples=len(valid), n_skipped=n_skipped,
     )

@@ -16,12 +16,6 @@ import numpy as np
 
 from repro.exceptions import DataError, NotFittedError
 from repro.learn.base import Classifier, Regressor
-from repro.store import (
-    array_fingerprint,
-    code_fingerprint,
-    object_fingerprint,
-    resolve_store,
-)
 
 
 def _conformal_quantile(scores: np.ndarray, alpha: float) -> float:
@@ -64,38 +58,12 @@ class SplitConformalClassifier:
         self.alpha = alpha
         self._quantile: float | None = None
 
-    def calibrate(self, X_cal, y_cal, store=None) -> "SplitConformalClassifier":
-        """Compute the non-conformity quantile on held-out data.
-
-        ``store`` memoises the quantile keyed on the model's content,
-        the calibration data, and ``alpha`` (``None`` defers to
-        ``$REPRO_STORE``) — calibration is pure, so a warm re-audit
-        replays it exactly.
-        """
+    def calibrate(self, X_cal, y_cal) -> "SplitConformalClassifier":
+        """Compute the non-conformity quantile on held-out data."""
         y_cal = np.asarray(y_cal, dtype=np.float64)
-
-        def compute() -> float:
-            probabilities = self.model.predict_proba(X_cal)
-            p_true = np.where(
-                y_cal == 1.0, probabilities, 1.0 - probabilities
-            )
-            return _conformal_quantile(1.0 - p_true, self.alpha)
-
-        store = resolve_store(store)
-        if store is None:
-            self._quantile = compute()
-            return self
-        self._quantile = store.memoize(
-            {
-                "stage": "conformal.calibrate",
-                "model": object_fingerprint(self.model),
-                "X_cal": array_fingerprint(np.asarray(X_cal)),
-                "y_cal": array_fingerprint(y_cal),
-                "alpha": self.alpha,
-                "code": code_fingerprint(_conformal_quantile),
-            },
-            compute,
-        )
+        probabilities = self.model.predict_proba(X_cal)
+        p_true = np.where(y_cal == 1.0, probabilities, 1.0 - probabilities)
+        self._quantile = _conformal_quantile(1.0 - p_true, self.alpha)
         return self
 
     def _membership(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -226,33 +194,11 @@ class SplitConformalRegressor:
         self.alpha = alpha
         self._quantile: float | None = None
 
-    def calibrate(self, X_cal, y_cal, store=None) -> "SplitConformalRegressor":
-        """Compute the residual quantile on held-out data.
-
-        ``store`` memoises the quantile exactly as the classifier's
-        :meth:`SplitConformalClassifier.calibrate` does.
-        """
+    def calibrate(self, X_cal, y_cal) -> "SplitConformalRegressor":
+        """Compute the residual quantile on held-out data."""
         y_cal = np.asarray(y_cal, dtype=np.float64)
-
-        def compute() -> float:
-            residuals = np.abs(y_cal - self.model.predict(X_cal))
-            return _conformal_quantile(residuals, self.alpha)
-
-        store = resolve_store(store)
-        if store is None:
-            self._quantile = compute()
-            return self
-        self._quantile = store.memoize(
-            {
-                "stage": "conformal.calibrate_regressor",
-                "model": object_fingerprint(self.model),
-                "X_cal": array_fingerprint(np.asarray(X_cal)),
-                "y_cal": array_fingerprint(y_cal),
-                "alpha": self.alpha,
-                "code": code_fingerprint(_conformal_quantile),
-            },
-            compute,
-        )
+        residuals = np.abs(y_cal - self.model.predict(X_cal))
+        self._quantile = _conformal_quantile(residuals, self.alpha)
         return self
 
     def predict_intervals(self, X) -> np.ndarray:

@@ -176,8 +176,7 @@ class FACTAuditor:
                    data: Table | PartitionedTable,
                    calibration: Table | None = None,
                    accountant: PrivacyAccountant | None = None,
-                   pipeline_result: PipelineResult | None = None,
-                   store=None) -> Plan:
+                   pipeline_result: PipelineResult | None = None) -> Plan:
         """The audit as a map/combine plan over ``data``'s shards.
 
         A plain ``Table`` is the one-shard case.  Level 0 is one map
@@ -228,14 +227,14 @@ class FACTAuditor:
 
         def accuracy_fn(partials, extras, rng):
             return self._accuracy(model, partials, sensitive_names,
-                                  calibration, rng, store)
+                                  calibration, rng)
 
         def confidentiality_fn(partials, extras, rng):
             return self._confidentiality(partials, schema, accountant)
 
         def transparency_fn(partials, extras, rng):
             return self._transparency(model, partials, rng,
-                                      pipeline_result, store)
+                                      pipeline_result)
 
         sections = [
             combine_node("fairness", maps, fairness_fn,
@@ -311,8 +310,7 @@ class FACTAuditor:
             raise DataError("need at least 10 evaluation rows for an audit")
         store = resolve_store(self.store)
         plan = self.build_plan(
-            model, test, calibration, accountant, pipeline_result,
-            store=store,
+            model, test, calibration, accountant, pipeline_result
         )
         executor = Executor(n_jobs=self.n_jobs, name="audit")
         telemetry = obs.get()
@@ -432,7 +430,7 @@ class FACTAuditor:
         return None
 
     def _accuracy(self, model, partials, sensitive_names: tuple,
-                  calibration, rng, store=None) -> AccuracySection:
+                  calibration, rng) -> AccuracySection:
         """The accuracy section, gathering the partials in one pass.
 
         The encoded test matrix and the audited sensitive column join
@@ -450,13 +448,11 @@ class FACTAuditor:
         probabilities = arrays["probabilities"]
         acc_ci = bootstrap_paired_ci(
             labels, arrays["decisions"], accuracy_metric, rng,
-            n_resamples=self.n_bootstrap,
-            n_jobs=self.n_jobs, store=store,
+            n_resamples=self.n_bootstrap, n_jobs=self.n_jobs,
         )
         auc_ci = bootstrap_paired_ci(
             labels, probabilities, roc_auc, rng,
-            n_resamples=self.n_bootstrap,
-            n_jobs=self.n_jobs, store=store,
+            n_resamples=self.n_bootstrap, n_jobs=self.n_jobs,
         )
         coverage = set_size = None
         by_group: dict[object, float] = {}
@@ -465,8 +461,7 @@ class FACTAuditor:
                 model.estimator, alpha=self.conformal_alpha
             )
             X_cal = model.encoder.transform(calibration)
-            conformal.calibrate(X_cal, model.labels(calibration),
-                                store=store)
+            conformal.calibrate(X_cal, model.labels(calibration))
             X_test = arrays["X"]
             covered = conformal.covered(X_test, labels)
             coverage = float(np.mean(covered))
@@ -539,8 +534,8 @@ class FACTAuditor:
             section.ledger_entries = len(accountant.ledger)
         return section
 
-    def _transparency(self, model, partials, rng, pipeline_result,
-                      store=None) -> TransparencySection:
+    def _transparency(self, model, partials, rng,
+                      pipeline_result) -> TransparencySection:
         """The transparency section from the encoded matrix + labels."""
         arrays = _gather(partials, ("X", "labels"))
         X = arrays["X"]
@@ -554,8 +549,7 @@ class FACTAuditor:
             pass  # constant model: surrogate vacuous, reported as absent
         importance = permutation_importance(
             model.estimator, X, arrays["labels"], rng, n_repeats=3,
-            feature_names=model.feature_names,
-            n_jobs=self.n_jobs, store=store,
+            feature_names=model.feature_names, n_jobs=self.n_jobs,
         )
         section = TransparencySection(
             model_type=type(model.estimator).__name__,

@@ -19,13 +19,16 @@ from repro.exceptions import DataError
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    ``exp`` only ever sees ``-|z|`` (NaN stays NaN), so it cannot
+    overflow; each branch of the final ``where`` is the textbook form
+    for its sign.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
     positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    expz = np.exp(z[~positive])
-    out[~positive] = expz / (1.0 + expz)
+    expz = np.exp(np.where(positive, -z, z))
+    out = np.where(positive, 1.0 / (1.0 + expz), expz / (1.0 + expz))
     if out.ndim == 0:
         return float(out)
     return out

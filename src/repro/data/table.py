@@ -533,11 +533,17 @@ class Table:
         return np.unique(self.column(name))
 
     def group_indices(self, name: str) -> dict[object, np.ndarray]:
-        """Row indices of each distinct value of ``name``."""
-        values = self.column(name)
-        return {
-            value: np.flatnonzero(values == value) for value in np.unique(values)
-        }
+        """Row indices of each distinct value of ``name``, ascending.
+
+        Every row lands in exactly one group.  Rows join their key by
+        ``np.unique``'s inverse, not by ``==``, which is never true for
+        NaN: the NaN rows of a numeric column share ``np.unique``'s one
+        NaN key, as they do in :meth:`value_counts`.
+        """
+        keys, codes = np.unique(self.column(name), return_inverse=True)
+        order = np.argsort(codes, kind="stable")
+        bounds = np.cumsum(np.bincount(codes, minlength=len(keys)))[:-1]
+        return dict(zip(keys, np.split(order, bounds)))
 
     def group_by(self, name: str) -> dict[object, "Table"]:
         """Split the table into sub-tables per distinct value of ``name``."""

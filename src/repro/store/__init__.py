@@ -17,12 +17,13 @@ This package is that machinery:
   adopted by every report-like document (model card, datasheet,
   fairness report, FACT report, green scorecard).
 
-Wired into the expensive pure stages (``FACTAuditor``, ``Pipeline.run``,
-``bootstrap_ci``, ``ShapleyExplainer``, ``permutation_importance``,
-conformal calibration) via a ``store=`` keyword.  ``store=None`` defers
-to the ``REPRO_STORE`` environment variable — mirroring the
-``REPRO_N_JOBS`` convention — which names a cache directory (on-disk),
-``memory``/``:memory:`` (process-local), or is unset (no caching)::
+Wired into ``FACTAuditor`` and ``Pipeline`` via a ``store=`` keyword:
+both run a :mod:`repro.engine` plan, and the engine's node cache is the
+one memo layer (the helpers an audit section calls cache nothing of
+their own).  ``store=None`` defers to the ``REPRO_STORE`` environment
+variable — mirroring the ``REPRO_N_JOBS`` convention — which names a
+cache directory (on-disk), ``memory``/``:memory:`` (process-local), or
+is unset (no caching)::
 
     REPRO_STORE=/tmp/fact-cache python audit.py     # warm across runs
     REPRO_STORE=memory python audit.py              # warm within a run

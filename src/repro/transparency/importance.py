@@ -16,8 +16,6 @@ from repro.exceptions import DataError
 from repro.learn.base import Classifier
 from repro.learn.metrics import accuracy, roc_auc
 from repro.parallel import pmap
-from repro.store import array_fingerprint, object_fingerprint, resolve_store
-from repro.store.fingerprint import code_fingerprint
 
 
 @dataclass(frozen=True)
@@ -80,18 +78,15 @@ def permutation_importance(model: Classifier, X, y,
                            n_repeats: int = 5,
                            metric: str = "accuracy",
                            feature_names: list[str] | None = None,
-                           n_jobs: int | None = None,
-                           store=None) -> ImportanceResult:
+                           n_jobs: int | None = None) -> ImportanceResult:
     """Mean score drop when each column is independently shuffled.
 
     ``n_jobs`` fans the (feature, repeat) evaluations out via
     :mod:`repro.parallel` (``None`` defers to ``$REPRO_N_JOBS``).  The
     shuffles are pre-drawn from ``rng`` in the serial loop's order and
     drops land in a fixed (feature, repeat) grid, so importances are
-    bit-identical for every ``n_jobs``.  ``store`` memoises the result
-    keyed on model content + data + parameters + rng state (``None``
-    defers to ``$REPRO_STORE``); ``n_jobs`` stays out of the key
-    because results are identical across it.
+    bit-identical for every ``n_jobs``.  Nothing is memoised here; the
+    FACT audit caches its whole transparency section as one plan node.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -104,43 +99,24 @@ def permutation_importance(model: Classifier, X, y,
         feature_names = [f"x{index}" for index in range(n_features)]
     if len(feature_names) != n_features:
         raise DataError("feature_names must match the matrix width")
-
-    def compute() -> ImportanceResult:
-        worker = _ShuffleScoreTask(model, X, y, metric, 0.0)
-        baseline = worker._score(X)
-        worker.baseline = baseline
-        n = len(X)
-        # ``rng.permutation(column)`` and ``column[rng.permutation(n)]``
-        # consume the same stream and produce the same arrangement, so
-        # pre-drawing index permutations here keeps historical results.
-        tasks = [
-            (feature, rng.permutation(n))
-            for feature in range(n_features)
-            for _ in range(n_repeats)
-        ]
-        flat = pmap(worker, tasks, n_jobs=n_jobs, name="importance")
-        drops = np.asarray(flat).reshape(n_features, n_repeats)
-        return ImportanceResult(
-            feature_names=list(feature_names),
-            importances=drops.mean(axis=1),
-            stds=drops.std(axis=1),
-            baseline_score=baseline,
-            metric=metric,
-        )
-
-    store = resolve_store(store)
-    if store is None:
-        return compute()
-    return store.memoize(
-        {
-            "stage": "permutation_importance",
-            "model": object_fingerprint(model),
-            "X": array_fingerprint(X),
-            "y": array_fingerprint(y),
-            "n_repeats": n_repeats,
-            "metric": metric,
-            "feature_names": list(feature_names),
-            "code": code_fingerprint(permutation_importance),
-        },
-        compute, rng=rng,
+    worker = _ShuffleScoreTask(model, X, y, metric, 0.0)
+    baseline = worker._score(X)
+    worker.baseline = baseline
+    n = len(X)
+    # ``rng.permutation(column)`` and ``column[rng.permutation(n)]``
+    # consume the same stream and produce the same arrangement, so
+    # pre-drawing index permutations here keeps historical results.
+    tasks = [
+        (feature, rng.permutation(n))
+        for feature in range(n_features)
+        for _ in range(n_repeats)
+    ]
+    flat = pmap(worker, tasks, n_jobs=n_jobs, name="importance")
+    drops = np.asarray(flat).reshape(n_features, n_repeats)
+    return ImportanceResult(
+        feature_names=list(feature_names),
+        importances=drops.mean(axis=1),
+        stds=drops.std(axis=1),
+        baseline_score=baseline,
+        metric=metric,
     )

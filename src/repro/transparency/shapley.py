@@ -18,12 +18,6 @@ import numpy as np
 from repro.exceptions import DataError
 from repro.learn.base import Classifier
 from repro.parallel import pmap
-from repro.store import (
-    array_fingerprint,
-    code_fingerprint,
-    object_fingerprint,
-    resolve_store,
-)
 
 
 @dataclass(frozen=True)
@@ -97,8 +91,7 @@ class ShapleyExplainer:
 
     def explain(self, x, rng: np.random.Generator | None = None,
                 n_permutations: int = 100,
-                n_jobs: int | None = None,
-                store=None) -> ShapleyExplanation:
+                n_jobs: int | None = None) -> ShapleyExplanation:
         """Shapley values of one point (exact or sampled by width).
 
         ``n_jobs`` fans the sampled permutations out via
@@ -107,50 +100,25 @@ class ShapleyExplainer:
         accumulated in permutation order, so the values are bit-identical
         for every ``n_jobs``.  The exact path stays serial —
         its memoised coalition cache is worth more than parallelism.
-        ``store`` memoises the whole explanation keyed on the model's
-        content, the background, ``x``, the parameters, and the rng
-        state (``None`` defers to ``$REPRO_STORE``).
         """
         x = np.asarray(x, dtype=np.float64).ravel()
         d = self._background.shape[1]
         if len(x) != d:
             raise DataError(f"x has {len(x)} features, expected {d}")
-        sampled = d > self.exact_limit
-        if sampled and rng is None:
-            raise DataError("sampled Shapley needs an rng")
-
-        def compute() -> ShapleyExplanation:
-            if not sampled:
-                values = self._exact(x)
-                method = "exact"
-            else:
-                values = self._sampled(x, rng, n_permutations, n_jobs)
-                method = f"sampled({n_permutations})"
-            base = self._coalition_value(x, ())
-            prediction = self._coalition_value(x, tuple(range(d)))
-            return ShapleyExplanation(
-                feature_names=list(self.feature_names),
-                values=values, base_value=base,
-                prediction=prediction, method=method,
-            )
-
-        store = resolve_store(store)
-        if store is None:
-            return compute()
-        return store.memoize(
-            {
-                "stage": "shapley.explain",
-                "model": object_fingerprint(self.model),
-                "background": array_fingerprint(self._background),
-                "x": array_fingerprint(x),
-                "feature_names": list(self.feature_names),
-                "exact_limit": self.exact_limit,
-                "n_permutations": n_permutations if sampled else None,
-                "code": code_fingerprint(ShapleyExplainer._sampled
-                                         if sampled
-                                         else ShapleyExplainer._exact),
-            },
-            compute, rng=rng if sampled else None,
+        if d <= self.exact_limit:
+            values = self._exact(x)
+            method = "exact"
+        else:
+            if rng is None:
+                raise DataError("sampled Shapley needs an rng")
+            values = self._sampled(x, rng, n_permutations, n_jobs)
+            method = f"sampled({n_permutations})"
+        base = self._coalition_value(x, ())
+        prediction = self._coalition_value(x, tuple(range(d)))
+        return ShapleyExplanation(
+            feature_names=list(self.feature_names),
+            values=values, base_value=base,
+            prediction=prediction, method=method,
         )
 
     def _exact(self, x: np.ndarray) -> np.ndarray:

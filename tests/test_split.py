@@ -44,6 +44,17 @@ def test_stratified_preserves_group_rates(credit_tables, rng):
     assert np.mean(b["group"] == "B") == pytest.approx(rate, abs=0.03)
 
 
+def test_stratified_split_keeps_nan_rows(rng):
+    from repro.data.table import Table
+
+    s = np.array([1.0, np.nan, 2.0, 1.0, 2.0, np.nan, 1.0, 2.0, 1.0, 2.0])
+    table = Table.from_dict({"s": s, "id": np.arange(10.0)})
+    train, test = train_test_split(table, 0.3, rng, stratify_by="s")
+    ids = np.concatenate([train["id"], test["id"]])
+    assert sorted(ids.tolist()) == list(range(10))
+    assert np.isnan(np.concatenate([train["s"], test["s"]])).sum() == 2
+
+
 def test_three_way_split(credit_tables, rng):
     train, _ = credit_tables
     a, b, c = three_way_split(train, 0.2, 0.2, rng)

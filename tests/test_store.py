@@ -21,7 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.accuracy.bootstrap import IntervalEstimate, bootstrap_ci
+from repro.accuracy.bootstrap import (
+    IntervalEstimate,
+    bootstrap_ci,
+    bootstrap_paired_ci,
+)
 from repro.core.auditor import FACTAuditor
 from repro.core.report import FACTReport
 from repro.core.scorecard import GreenScorecard, build_scorecard
@@ -585,38 +589,81 @@ def test_resolve_store_prefers_explicit_then_env(tmp_path, monkeypatch):
     assert os.listdir(target)
 
 
-def test_env_store_drives_the_bootstrap(monkeypatch, rng):
+def _quantile_statistic(q):
+    return lambda values: float(np.quantile(values, q))
+
+
+def _accuracy_at(threshold):
+    return lambda y_true, scores: float(
+        np.mean((scores >= threshold) == y_true)
+    )
+
+
+def test_env_store_memoises_audits_not_helper_calls(monkeypatch, audit_setup):
+    """``$REPRO_STORE`` caches plan nodes only, never a helper's result.
+
+    The two closures of each pair share their code and differ only in a
+    captured cell, which a code fingerprint cannot see: a helper-level
+    memo keyed on it would replay the first closure's interval for the
+    second.
+    """
+    values = np.random.default_rng(0).normal(size=200)
+    y_true = (np.random.default_rng(1).random(300) < 0.5).astype(float)
+    scores = np.random.default_rng(2).random(300)
+
+    def intervals():
+        return [
+            *(bootstrap_ci(values, _quantile_statistic(q),
+                           np.random.default_rng(5), n_resamples=50)
+              for q in (0.1, 0.9)),
+            *(bootstrap_paired_ci(y_true, scores, _accuracy_at(threshold),
+                                  np.random.default_rng(5), n_resamples=50)
+              for threshold in (0.2, 0.8)),
+        ]
+
+    monkeypatch.delenv(STORE_ENV, raising=False)
+    reference = intervals()
+    assert reference[0] != reference[1] and reference[2] != reference[3]
+
     monkeypatch.setenv(STORE_ENV, "memory")
     env_store = resolve_store(None)
     env_store.clear()
-    values = np.random.default_rng(0).normal(size=80)
-    before = env_store.hits
-    first = bootstrap_ci(values, np.mean, np.random.default_rng(5),
-                         n_resamples=50)
-    again = bootstrap_ci(values, np.mean, np.random.default_rng(5),
-                         n_resamples=50)
-    assert again == first
-    assert env_store.hits == before + 1
+    assert intervals() == reference
+
+    model, _, test, calibration = audit_setup
+    auditor = FACTAuditor(n_bootstrap=40)  # store=None: defers to the env
+    cold = auditor.audit(model, test, np.random.default_rng(7),
+                         calibration=calibration)
+    puts_after_cold = env_store.puts
+    assert puts_after_cold > 0
+    warm = auditor.audit(model, test, np.random.default_rng(7),
+                         calibration=calibration)
+    assert env_store.puts == puts_after_cold
+    assert warm.fingerprint() == cold.fingerprint()
 
 
 # -- determinism with repro.parallel ----------------------------------------------
 
 
-def test_store_is_transparent_across_n_jobs_and_backends():
-    """n_jobs stays out of cache keys: one entry serves every setting."""
-    values = np.random.default_rng(3).normal(size=120)
-    reference = bootstrap_ci(values, np.mean, np.random.default_rng(9),
-                             n_resamples=60)
+def test_store_is_transparent_across_n_jobs_and_backends(audit_setup):
+    """n_jobs stays out of cache keys: one cold audit serves every setting."""
+    model, _, test, calibration = audit_setup
     store = ArtifactStore()
-    results = [
-        bootstrap_ci(values, np.mean, np.random.default_rng(9),
-                     n_resamples=60, n_jobs=n_jobs, store=store)
-        for n_jobs in (1, 2)
-    ]
-    for result in results:
-        assert result == reference
-    assert store.puts == 1  # the first call stored; the rest replayed
-    assert store.hits == 1
+    cold = FACTAuditor(n_bootstrap=40, n_jobs=1, store=store).audit(
+        model, test, np.random.default_rng(7), calibration=calibration
+    )
+    for backend in ("thread", "process"):
+        before = store.stats()
+        warm = FACTAuditor(n_bootstrap=40, n_jobs=2, backend=backend,
+                           store=store).audit(
+            model, test, np.random.default_rng(7), calibration=calibration
+        )
+        after = store.stats()
+        # One map node plus four sections, every one a hit.
+        assert after["hits"] - before["hits"] == 5
+        assert after["misses"] == before["misses"]
+        assert after["puts"] == before["puts"]
+        assert warm.fingerprint() == cold.fingerprint()
 
 
 # -- the incremental FACT re-audit ------------------------------------------------
@@ -655,8 +702,8 @@ def test_fact_audit_recomputes_only_the_invalidated_section(audit_setup):
     changed = FACTAuditor(n_bootstrap=40, surrogate_depth=3, store=store)
     warm = changed.audit(model, test, np.random.default_rng(7),
                          calibration=calibration)
-    # Only the transparency *section* misses; its permutation-importance
-    # sub-result replays from inside the recompute.
+    # Only the transparency section misses; the recompute runs its
+    # surrogate and permutation importance afresh.
     assert store.misses - misses_before == 1
 
     bare = FACTAuditor(n_bootstrap=40, surrogate_depth=3).audit(

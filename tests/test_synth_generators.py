@@ -1,5 +1,7 @@
 """Unit tests for the domain dataset generators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.data.synth import (
     InternetMinuteGenerator,
     RecidivismGenerator,
 )
+from repro.data.synth.base import sigmoid
 from repro.data.synth.events import INTERNET_MINUTE_VOLUMES
 from repro.exceptions import DataError
 
@@ -168,3 +171,40 @@ def test_choose_validation(rng):
 
     with pytest.raises(DataError):
         choose(["a", "b"], np.ones((4, 3)), rng)
+
+
+def _masked_sigmoid(z):
+    """The logistic function as it was first written: one ``exp`` per sign."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    expz = np.exp(z[~positive])
+    out[~positive] = expz / (1.0 + expz)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_form():
+    tiny = np.finfo(np.float64).tiny
+    edges = np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, tiny, -tiny,
+        36.7, -36.7, 709.8, -709.8, 745.0, -745.0, 746.0, -746.0,
+        1e300, -1e300,
+    ])
+    rng = np.random.default_rng(0)
+    z = np.concatenate([edges, rng.normal(scale=10.0, size=4000),
+                        rng.normal(scale=1e-3, size=4000)])
+    with warnings.catch_warnings(), \
+            np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        assert sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
+        matrix = z[:4000].reshape(80, 50)
+        assert sigmoid(matrix).shape == (80, 50)
+        assert sigmoid(matrix).tobytes() == _masked_sigmoid(matrix).tobytes()
+        assert sigmoid(np.array([])).shape == (0,)
+        for value in (0.3, -2.0, np.float64(-745.0), np.inf):
+            out = sigmoid(value)
+            assert type(out) is float
+            assert out == _masked_sigmoid(value)

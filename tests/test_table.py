@@ -119,6 +119,33 @@ def test_group_by_and_counts(small_table):
     assert counts == {"north": 3, "south": 3}
 
 
+def _with_nan_keys():
+    s = np.array([1.0, np.nan, 2.0, 1.0, np.nan, 2.0, 3.0, 1.0, -0.0, 0.0])
+    return Table.from_dict({"s": s, "id": np.arange(10.0)})
+
+
+def test_group_indices_put_every_row_in_one_group():
+    table = _with_nan_keys()
+    groups = table.group_indices("s")
+    rows = np.concatenate(list(groups.values()))
+    assert sorted(rows.tolist()) == list(range(10))
+    nan_keys = [key for key in groups if key != key]
+    assert len(nan_keys) == 1
+    assert groups[nan_keys[0]].tolist() == [1, 4]
+    assert groups[1.0].tolist() == [0, 3, 7]
+    assert groups[0.0].tolist() == [8, 9]  # -0.0 == 0.0: one group
+    assert [len(part) for part in groups.values()] == list(
+        table.value_counts("s").values()
+    )
+
+
+def test_group_by_keeps_nan_rows():
+    groups = _with_nan_keys().group_by("s")
+    assert sum(part.n_rows for part in groups.values()) == 10
+    (nan_part,) = [part for key, part in groups.items() if key != key]
+    assert nan_part["id"].tolist() == [1.0, 4.0]
+
+
 def test_describe(small_table):
     summary = small_table.describe()
     assert summary["income"]["mean"] == pytest.approx(35.0)
